@@ -7,11 +7,17 @@ every step vanishes; positioning the next shape therefore reduces to a
 three-variable root-finding problem (rotation angle plus planar translation),
 solved here by a damped Newton iteration with an analytic Jacobian and a
 trust-region fallback for the rare steps where Newton stalls.
+
+The residual-and-Jacobian kernel is planar: it works on the (N, 2) in-plane
+columns of the shapes, with the scalar cross product a_x b_y - a_y b_x and a
+2x2 rotation, and evaluates the three Jacobian columns (angle, bx, by) in one
+pass.  A non-finite residual never counts as converged.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +63,8 @@ class DissipationParams:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).ravel()
-        if len(w) == 0 or np.any(w <= 0):
-            raise InvalidWeight("weights must be a nonempty strictly positive vector")
+        if len(w) == 0 or not np.all(np.isfinite(w)) or np.any(w <= 0):
+            raise InvalidWeight("weights must be a nonempty finite strictly positive vector")
         if not 0.0 < self.epsilon <= 1.0:
             raise InvalidAnisotropy(f"epsilon must lie in (0, 1], got {self.epsilon}")
         object.__setattr__(self, "weights", w)
@@ -180,79 +186,83 @@ def _alignment_seed(prev: PositionedShape, nxt: PositionedShape, weights) -> np.
     return np.array([angle, b[0], b[1]])
 
 
-def _zcross(v):
-    """Rowwise cross product of the vertical unit vector with v."""
-    out = np.empty_like(v)
-    out[:, 0] = -v[:, 1]
-    out[:, 1] = v[:, 0]
-    out[:, 2] = 0.0
-    return out
+def _cross(a, b):
+    """Planar (z) cross product a_x b_y - a_y b_x over the last axis."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+# (x, y) -> (-y, x) is the quarter turn z x v, written as a reversal and a sign flip
+_QUARTER_TURN = np.array([-1.0, 1.0])
 
 
 class _StepProblem:
-    """Planar momentum residual and its Jacobian as functions of (angle, bx, by)."""
+    """Planar momentum residual and its Jacobian as functions of (angle, bx, by).
+
+    The kernel works on the (N, 2) in-plane columns of the shapes; `residual`
+    keeps the 3D momentum path as the reference it is checked against.
+    """
 
     def __init__(self, prev: PositionedShape, nxt: PositionedShape, params: DissipationParams):
-        self.p = prev.vertices
-        self.s = prev.tangents
-        self.q_hat = nxt.vertices
-        self.u_hat = nxt.tangents
+        self.prev = prev
+        self.nxt = nxt
         self.w = params.weights
         self.eps = params.epsilon
+        n = prev.num_vertices
+        self.p = prev.vertices[:, :2]
+        self.s = prev.tangents[:, :2]
+        # next-shape vertices and tangents stacked, so one product rotates both
+        self.q_u_hat = np.concatenate([nxt.vertices[:, :2], nxt.tangents[:, :2]])
+        self.wk = self.w * (self.eps - 1.0)
+        # rows: delta, then d(delta) along angle, bx, by; the bx and by rows are
+        # the unit translations and, like D_prev applied to them, independent of x
+        self.rows = np.zeros((4, n, 2))
+        self.rows[2:] = np.eye(2)[:, None, :]
+        self.dp_rows = np.zeros((4, n, 2))
+        self.dp_rows[2:] = (
+            self.w[:, None] * self.rows[2:] + (self.wk * self.s.T)[:, :, None] * self.s
+        )
 
     def residual(self, x):
         rot = rotation_matrix(x[0])
-        q = self.q_hat @ rot.T + np.array([x[1], x[2], 0.0])
-        u = self.u_hat @ rot.T
-        mu_rot, mu_tran = _momentum(self.w, self.eps, self.p, self.s, q, u)
+        q = self.nxt.vertices @ rot.T + np.array([x[1], x[2], 0.0])
+        u = self.nxt.tangents @ rot.T
+        mu_rot, mu_tran = _momentum(
+            self.w, self.eps, self.prev.vertices, self.prev.tangents, q, u
+        )
         return np.array([mu_rot[2], mu_tran[0], mu_tran[1]])
 
     def residual_and_jacobian(self, x):
-        w, eps, p, s = self.w, self.eps, self.p, self.s
-        rot = rotation_matrix(x[0])
-        v = self.q_hat @ rot.T
-        u = self.u_hat @ rot.T
-        q = v + np.array([x[1], x[2], 0.0])
-        delta = q - p
+        w, wk, p, s = self.w[:, None], self.wk, self.p, self.s
+        n = len(p)
+        c, sn = math.cos(x[0]), math.sin(x[0])
+        v_u = self.q_u_hat @ np.array([[c, sn], [-sn, c]])
+        v, u = v_u[:n], v_u[n:]
+        q = v + x[1:]
 
-        s_dot = np.sum(s * delta, axis=1, keepdims=True)
-        u_dot = np.sum(u * delta, axis=1, keepdims=True)
-        dp_delta = w[:, None] * (delta + (eps - 1.0) * s_dot * s)
-        e_delta = w[:, None] * (delta + (eps - 1.0) * u_dot * u)
-        mu_rot = -0.5 * np.sum(np.cross(q, dp_delta) + np.cross(p, e_delta), axis=0)
-        mu_tran = -0.25 * np.sum(dp_delta + e_delta, axis=0)
-        residual = np.array([mu_rot[2], mu_tran[0], mu_tran[1]])
+        d = self.rows.copy()
+        d[0] = q - p
+        d[1] = v[:, ::-1] * _QUARTER_TURN
+        # D_prev and D_next applied to every row; D_next also turns with the angle
+        dp = self.dp_rows.copy()
+        dp[:2] = w * d[:2] + (wk * (s * d[:2]).sum(axis=2))[..., None] * s
+        u_d = (u * d).sum(axis=2)
+        e = w * d + (wk * u_d)[..., None] * u
+        du = u[:, ::-1] * _QUARTER_TURN
+        e[1] += wk[:, None] * ((du * d[0]).sum(axis=1)[:, None] * u + u_d[0][:, None] * du)
 
-        jac = np.empty((3, 3))
-        # angle column: vertices move along z x v, tangents (hence tensors) rotate too
-        dv = _zcross(v)
-        du = _zcross(u)
-        dp_dv = w[:, None] * (dv + (eps - 1.0) * np.sum(s * dv, axis=1, keepdims=True) * s)
-        e_dv = w[:, None] * (dv + (eps - 1.0) * np.sum(u * dv, axis=1, keepdims=True) * u)
-        de_delta = (w * (eps - 1.0))[:, None] * (
-            np.sum(du * delta, axis=1, keepdims=True) * u + u_dot * du
-        )
-        d_mu_tran = -0.25 * np.sum(dp_dv + e_dv + de_delta, axis=0)
-        d_mu_rot = -0.5 * np.sum(
-            np.cross(dv, dp_delta) + np.cross(q, dp_dv) + np.cross(p, e_dv + de_delta),
-            axis=0,
-        )
-        jac[:, 0] = [d_mu_rot[2], d_mu_tran[0], d_mu_tran[1]]
-        for j, axis in enumerate((0, 1), start=1):
-            basis = np.zeros(3)
-            basis[axis] = 1.0
-            dp_e = w[:, None] * (basis + (eps - 1.0) * s[:, axis : axis + 1] * s)
-            e_e = w[:, None] * (basis + (eps - 1.0) * u[:, axis : axis + 1] * u)
-            d_mu_tran = -0.25 * np.sum(dp_e + e_e, axis=0)
-            d_mu_rot = -0.5 * np.sum(
-                np.cross(basis, dp_delta) + np.cross(q, dp_e) + np.cross(p, e_e), axis=0
-            )
-            jac[:, j] = [d_mu_rot[2], d_mu_tran[0], d_mu_tran[1]]
-        return residual, jac
+        # row 0 is the momentum (angle, x, y), rows 1-3 its derivatives
+        rot = _cross(q, dp) + _cross(p, e)
+        rot[1:] += _cross(d[1:], dp[0])
+        m = np.empty((4, 3))
+        m[:, 0] = -0.5 * rot.sum(axis=1)
+        m[:, 1:] = -0.25 * (dp + e).sum(axis=1)
+        return m[0], m[1:].T
 
     def positioned(self, x) -> PositionedShape:
         motion = RigidMotion(x[0], np.array([x[1], x[2], 0.0]))
-        return PositionedShape(motion.apply_points(self.q_hat), motion.apply_vectors(self.u_hat))
+        return PositionedShape(
+            motion.apply_points(self.nxt.vertices), motion.apply_vectors(self.nxt.tangents)
+        )
 
 
 def position_step(
@@ -284,7 +294,7 @@ def position_step(
     x, residual, norm, iterations, reason = _damped_newton(
         problem, x, accept_tol, polish_tol, max_iterations
     )
-    if norm > accept_tol and reason != "budget":
+    if reason not in ("budget", "nonfinite") and norm > accept_tol:
         # Newton stalled in a local minimum of the residual norm (it happens
         # for violent shape changes, e.g. tightly coiled gaits).  A trust
         # region search escapes those reliably; seeds are tried in a fixed
@@ -308,7 +318,7 @@ def position_step(
                 x, residual, norm = rx, rres, rnorm
             if norm <= accept_tol:
                 break
-    if norm > accept_tol:
+    if not norm <= accept_tol:  # true for a NaN norm as well
         if reason == "degenerate":
             raise DegenerateJacobian(
                 f"singular momentum Jacobian (|residual| = {norm:.3e}) "
@@ -329,11 +339,15 @@ def _damped_newton(problem, x, accept_tol, polish_tol, max_iterations):
 
     Returns (x, residual, |residual|, iterations, reason) with reason one of
     "converged" (below the polish target), "budget" (max_iterations spent),
-    "stalled" (no decreasing step found), "degenerate" (unusable step).
+    "stalled" (no decreasing step found), "degenerate" (unusable step),
+    "nonfinite" (the starting residual is NaN or infinite).  Steps only ever
+    accept a smaller norm, so a finite start stays finite.
     """
     residual, jac = problem.residual_and_jacobian(x)
     norm = float(np.linalg.norm(residual))
     iterations = 0
+    if not np.isfinite(norm):
+        return x, residual, norm, iterations, "nonfinite"
     reason = "converged"
     while norm > polish_tol:
         if iterations >= max_iterations:
@@ -424,6 +438,12 @@ def read_trajectory_csv(path) -> list[PositionedShape]:
     shapes = []
     for t in sorted(frames):
         frame = frames[t]
+        if sorted(frame) != list(range(len(frame))):
+            raise FileFormatError(f"{path}: frame {t} skips a vertex index")
+        if shapes and len(frame) != shapes[0].num_vertices:
+            raise FileFormatError(
+                f"{path}: frame {t} has {len(frame)} vertices, not {shapes[0].num_vertices}"
+            )
         verts = np.zeros((len(frame), 3))
         for k in sorted(frame):
             verts[k, :2] = frame[k]

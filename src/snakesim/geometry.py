@@ -1,7 +1,9 @@
 """Discrete planar curves, rigid motions, and curvature-based reconstruction.
 
-Points live in R^3 with a zero vertical (z) component so that cross products
-keep their usual form; all rigid motions rotate about the vertical axis.
+Points are stored as (N, 3) arrays with a zero vertical (z) column, the
+layout that the public API and the file readers share; all rigid motions
+rotate about the vertical axis.  The step solver reads only the in-plane
+columns and takes planar cross products itself.
 """
 
 from __future__ import annotations

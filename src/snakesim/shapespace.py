@@ -58,7 +58,10 @@ class GaitEllipse:
 
     def __post_init__(self):
         for name in ("sigma", "xc", "yc", "theta", "a", "xi"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
         if self.a < 0:
@@ -175,8 +178,14 @@ def read_gait_file(path) -> tuple[GaitEllipse, dict]:
     ellipse = GaitEllipse(*(values.pop(key) for key in GAIT_KEYS))
     meta = {"timesteps": None, "edges": None, "body_length": None}
     for key in meta:
-        if key in values:
-            meta[key] = int(values[key]) if key != "body_length" else values[key]
+        if key not in values:
+            continue
+        value = values[key]
+        if key != "body_length":
+            if not value.is_integer():
+                raise FileFormatError(f"{path}: {key} must be an integer, got {value!r}")
+            value = int(value)
+        meta[key] = value
     return ellipse, meta
 
 

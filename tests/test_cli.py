@@ -118,6 +118,14 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", gait_file, "--epsilon", "0.0")
         assert code == 2
 
+    def test_non_finite_gait_exits_2(self, tmp_path, capsys):
+        gait = tmp_path / "nan.txt"
+        gait.write_text("sigma = 1.0\nxc = nan\nyc = 0.0\ntheta = 0.0\na = 3.0\nxi = 1.0\n")
+        out = tmp_path / "run"
+        code, _, err = run(capsys, "simulate", str(gait), "--out", str(out))
+        assert code == 2 and "xc" in err
+        assert not (out / "trajectory.csv").exists()
+
     def test_out_dir_collision_exits_2(self, tmp_path, capsys, gait_file):
         blocker = tmp_path / "blocked"
         blocker.write_text("")

@@ -21,7 +21,13 @@ from snakesim.errors import (
     NoConvergence,
     ShapeMismatch,
 )
-from snakesim.geometry import PositionedShape, RigidMotion, apply_rigid_motion, center_of_mass
+from snakesim.geometry import (
+    PositionedShape,
+    RigidMotion,
+    apply_rigid_motion,
+    center_of_mass,
+    curve_from_curvature,
+)
 from snakesim.shapespace import GaitEllipse, gait_to_shape_sequence
 
 # circle of radius 3 in the coefficient plane: the plain traveling-wave gait
@@ -74,6 +80,13 @@ class TestLocalTensor:
             local_tensor([1, 0, 0], 1.0, 1.5)
         with pytest.raises(InvalidWeight):
             local_tensor([1, 0, 0], -1.0, 0.5)
+
+
+class TestDissipationParams:
+    def test_non_finite_weights_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidWeight):
+                DissipationParams([bad, 1.0], 0.3)
 
 
 class TestStepEnergy:
@@ -264,6 +277,35 @@ class TestPositionStep:
         assert info.value.residual is not None
         assert info.value.iterations == 1
 
+    def test_non_finite_residual_is_not_converged(self):
+        shapes = reference_shapes(timesteps=8, edges=6)
+        params = DissipationParams.uniform(1.38, 7, 0.2)
+        with pytest.raises(NoConvergence):
+            position_step(shapes[0], shapes[1], params, guess=RigidMotion(np.nan, np.zeros(2)))
+
+    def test_planar_kernel_matches_3d_reference(self):
+        from snakesim.dynamics import _StepProblem
+
+        rng = np.random.default_rng(29)
+        for _ in range(8):
+            edges = int(rng.integers(2, 12))
+            length = rng.uniform(0.2, 2.0)
+            shapes = [
+                apply_rigid_motion(
+                    RigidMotion(rng.uniform(-np.pi, np.pi), rng.normal(size=2)),
+                    curve_from_curvature(rng.normal(scale=4.0, size=edges), length),
+                )
+                for _ in range(2)
+            ]
+            weights = rng.uniform(0.1, 2.0, size=edges + 1)
+            for eps in (0.05, 0.1865, 1.0):
+                problem = _StepProblem(shapes[0], shapes[1], DissipationParams(weights, eps))
+                for _ in range(5):
+                    x = rng.normal(scale=[2.0, 1.0, 1.0])
+                    kernel = problem.residual_and_jacobian(x)[0]
+                    reference = problem.residual(x)
+                    assert np.max(np.abs(kernel - reference)) <= 1e-14 * weights.sum() * length
+
     def test_jacobian_matches_finite_differences(self):
         from snakesim.dynamics import _StepProblem
 
@@ -376,6 +418,19 @@ class TestTrajectoryFiles:
     def test_header_is_mandatory(self, tmp_path):
         path = tmp_path / "noheader.csv"
         path.write_text("0,0,0.0,0.0\n")
+        with pytest.raises(FileFormatError):
+            read_trajectory_csv(path)
+
+    def test_vertex_gap_rejected(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("t,k,x,y\n0,0,0.0,0.0\n0,2,1.0,0.0\n")
+        with pytest.raises(FileFormatError):
+            read_trajectory_csv(path)
+
+    def test_frames_must_agree_on_vertex_count(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        rows = ["0,0,0.0,0.0", "0,1,1.0,0.0", "1,0,0.0,0.0", "1,1,1.0,0.0", "1,2,2.0,0.0"]
+        path.write_text("t,k,x,y\n" + "\n".join(rows) + "\n")
         with pytest.raises(FileFormatError):
             read_trajectory_csv(path)
 

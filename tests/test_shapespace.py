@@ -59,6 +59,14 @@ def test_circular_gait_has_constant_radius():
         assert np.hypot(p.w1 - 0.7, p.w2 + 0.3) == pytest.approx(2.3, abs=1e-12)
 
 
+def test_gait_ellipse_rejects_non_finite_fields():
+    fields = dict(sigma=1.0, xc=0.0, yc=0.0, theta=0.0, a=3.0, xi=1.0)
+    for name in fields:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                GaitEllipse(**{**fields, name: bad})
+
+
 class TestGaitToShapeSequence:
     def test_degenerate_ellipse_gives_straight_lines(self):
         e = GaitEllipse(sigma=1.0, xc=0.0, yc=0.0, theta=0.0, a=1e-14, xi=1.0)
@@ -159,6 +167,15 @@ class TestFiles:
         path.write_text("sigma = 0.5\n")  # missing keys
         with pytest.raises(FileFormatError):
             read_gait_file(path)
+
+    def test_gait_file_rejects_fractional_counts(self, tmp_path):
+        path = tmp_path / "frac.txt"
+        write_gait_file(path, GaitEllipse(0.5, 0, 0, 0, 1, 1))
+        base = path.read_text()
+        for line in ("timesteps = 2.7\n", "edges = 5.5\n"):
+            path.write_text(base + line)
+            with pytest.raises(FileFormatError):
+                read_gait_file(path)
 
     def test_joint_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
