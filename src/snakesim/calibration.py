@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     InvalidWeight,
     NonMonotoneWarning,
 )
-from .geometry import PositionedShape, tangents_from_vertices
+from .geometry import PositionedShape, _as_points, center_of_mass, tangents_from_vertices
 
 __all__ = [
     "MocapTrajectory",
@@ -66,6 +66,8 @@ class MocapTrajectory:
             raise InconsistentMarkerCount(
                 f"{len(times)} timestamps for {frames.shape[0]} frames"
             )
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(frames))):
+            raise FileFormatError("timestamps and marker positions must be finite")
         if len(times) and np.any(np.diff(times) <= 0):
             raise FileFormatError("timestamps must be strictly increasing")
         object.__setattr__(self, "times", times)
@@ -85,7 +87,7 @@ class ComCurve:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).ravel()
-        positions = np.atleast_2d(np.asarray(self.positions, dtype=float))[:, :2]
+        positions = _as_points(np.atleast_2d(self.positions))
         if len(times) != len(positions):
             raise EmptyCurve(f"{len(times)} times for {len(positions)} positions")
         object.__setattr__(self, "times", times)
@@ -103,11 +105,15 @@ class ComCurve:
 
 @dataclass(frozen=True)
 class AnisotropyFit:
-    """Best-RMS anisotropy ratio plus the full (epsilon, rms, displacement) history."""
+    """Best-RMS anisotropy ratio plus the full (epsilon, rms, displacement) history.
+
+    `curves[i]` is the resimulated CoM curve behind `evaluations[i]`.
+    """
 
     epsilon: float
     rms: float
     evaluations: list[tuple[float, float, float]]
+    curves: list[ComCurve] = field(default_factory=list)
 
     def __iter__(self):
         # unpacks as the (epsilon, rms) pair
@@ -126,12 +132,7 @@ def extract_shapes(mocap: MocapTrajectory, target_steps: int | None = None) -> l
     if target_steps is not None and target_steps < len(frames):
         idx = np.round(np.linspace(0, len(frames) - 1, target_steps)).astype(int)
         frames = frames[idx]
-    shapes = []
-    for frame in frames:
-        verts = np.zeros((len(frame), 3))
-        verts[:, :2] = frame
-        shapes.append(PositionedShape(verts, tangents_from_vertices(verts)))
-    return shapes
+    return [PositionedShape(frame, tangents_from_vertices(frame)) for frame in frames]
 
 
 def resimulate(mocap: MocapTrajectory, params: DissipationParams) -> Trajectory:
@@ -149,9 +150,8 @@ def com_curve(source, weights, times=None) -> ComCurve:
             raise InconsistentMarkerCount(
                 f"{len(w)} weights for {source.num_markers} markers"
             )
-        positions = np.einsum("k,tkd->td", w, source.frames) / w.sum()
-        return ComCurve(source.times, positions)
-    path = source.com_path(w)[:, :2]
+        return ComCurve(source.times, center_of_mass(source.frames, w))
+    path = source.com_path(w)
     if times is None:
         times = np.arange(len(path), dtype=float)
     return ComCurve(times, path)
@@ -176,10 +176,11 @@ def rms_error(a: ComCurve, b: ComCurve) -> float:
 
 
 def _evaluate(mocap, weights, exp_curve, epsilon):
+    """((epsilon, rms, final displacement), resimulated CoM curve) for one ratio."""
     params = DissipationParams(weights, epsilon)
     traj = resimulate(mocap, params)
     curve = com_curve(traj, weights, times=mocap.times)
-    return epsilon, rms_error(curve, exp_curve), curve.final_displacement
+    return (epsilon, rms_error(curve, exp_curve), curve.final_displacement), curve
 
 
 def fit_anisotropy(
@@ -203,13 +204,21 @@ def fit_anisotropy(
     exp_curve = com_curve(exp_mocap, w)
     target = exp_curve.final_displacement
 
-    history = [_evaluate(exp_mocap, w, exp_curve, lo), _evaluate(exp_mocap, w, exp_curve, hi)]
+    history, curves = [], []
+
+    def evaluate(epsilon):
+        record, curve = _evaluate(exp_mocap, w, exp_curve, epsilon)
+        history.append(record)
+        curves.append(curve)
+        return record
+
+    evaluate(lo)
+    evaluate(hi)
     iterations = 0
     while hi - lo >= BISECTION_INTERVAL_TOL and iterations < BISECTION_MAX_ITERATIONS:
         iterations += 1
         mid = 0.5 * (lo + hi)
-        record = _evaluate(exp_mocap, w, exp_curve, mid)
-        history.append(record)
+        record = evaluate(mid)
         if record[2] > target:
             lo = mid  # still displacing too much: ratio must grow
         else:
@@ -223,27 +232,20 @@ def fit_anisotropy(
                 f"{e0:.4g} and {e1:.4g}; falling back to golden-section RMS search",
                 NonMonotoneWarning,
             )
-            history.extend(
-                _golden_section(
-                    lambda eps: _evaluate(exp_mocap, w, exp_curve, eps),
-                    float(bounds[0]),
-                    float(bounds[1]),
-                )
-            )
+            _golden_section(evaluate, float(bounds[0]), float(bounds[1]))
             break
 
     best = min(history, key=lambda rec: rec[1])
-    return AnisotropyFit(best[0], best[1], history)
+    return AnisotropyFit(best[0], best[1], history, curves)
 
 
 def _golden_section(evaluate, lo, hi, tol=BISECTION_INTERVAL_TOL, max_iterations=60):
-    """Bounded golden-section minimization of rec[1]; returns all evaluations."""
+    """Bounded golden-section minimization of rec[1] over evaluate(x) -> rec."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     rec_c, rec_d = evaluate(c), evaluate(d)
-    records = [rec_c, rec_d]
     for _ in range(max_iterations):
         if b - a < tol:
             break
@@ -251,13 +253,10 @@ def _golden_section(evaluate, lo, hi, tol=BISECTION_INTERVAL_TOL, max_iterations
             b, d, rec_d = d, c, rec_c
             c = b - invphi * (b - a)
             rec_c = evaluate(c)
-            records.append(rec_c)
         else:
             a, c, rec_c = c, d, rec_d
             d = a + invphi * (b - a)
             rec_d = evaluate(d)
-            records.append(rec_d)
-    return records
 
 
 # -- synthetic data and file formats ------------------------------------------
@@ -265,7 +264,7 @@ def _golden_section(evaluate, lo, hi, tol=BISECTION_INTERVAL_TOL, max_iterations
 
 def mocap_from_shapes(shapes, times=None) -> MocapTrajectory:
     """Package positioned shapes as a marker recording (vertices = markers)."""
-    frames = np.stack([s.vertices[:, :2] for s in shapes])
+    frames = np.stack([s.vertices for s in shapes])
     if times is None:
         times = np.arange(len(shapes), dtype=float)
     return MocapTrajectory(times, frames)

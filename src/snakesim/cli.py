@@ -281,13 +281,11 @@ def cmd_calibrate(args) -> int:
             "width": 2.5,
         }
     ]
-    shown = sorted(fit.evaluations)
+    shown = sorted(zip(fit.evaluations, fit.curves), key=lambda pair: pair[0])
     if len(shown) > 7:
         idx = np.round(np.linspace(0, len(shown) - 1, 7)).astype(int)
         shown = [shown[i] for i in idx]
-    for eps, _, _ in shown:
-        traj = calibration.resimulate(mocap, DissipationParams(weights, eps))
-        curve = calibration.com_curve(traj, weights, times=mocap.times)
+    for (eps, _, _), curve in shown:
         best = abs(eps - fit.epsilon) < 1e-12
         entry = {
             "x": curve.times,

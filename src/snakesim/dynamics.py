@@ -8,10 +8,11 @@ three-variable root-finding problem (rotation angle plus planar translation),
 solved here by a damped Newton iteration with an analytic Jacobian and a
 trust-region fallback for the rare steps where Newton stalls.
 
-The residual-and-Jacobian kernel is planar: it works on the (N, 2) in-plane
-columns of the shapes, with the scalar cross product a_x b_y - a_y b_x and a
-2x2 rotation, and evaluates the three Jacobian columns (angle, bx, by) in one
-pass.  A non-finite residual never counts as converged.
+Shapes are (N, 2) vertex and tangent arrays, the tensors are 2x2, and the
+momentum is the 3-vector (rotational, x, y), with the scalar cross product
+a_x b_y - a_y b_x for the rotational part.  The residual-and-Jacobian kernel
+evaluates the three Jacobian columns (angle, bx, by) in one pass.  A
+non-finite residual never counts as converged.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     NoConvergence,
     ShapeMismatch,
 )
-from .geometry import PositionedShape, RigidMotion, rotation_matrix
+from .geometry import PositionedShape, RigidMotion, apply_rigid_motion, center_of_mass, rotation_matrix
 
 __all__ = [
     "DissipationParams",
@@ -95,9 +96,9 @@ class Trajectory:
     params: DissipationParams
 
     def com_path(self, weights=None) -> np.ndarray:
-        """(T+1, 3) weighted center-of-mass positions; defaults to the dissipation weights."""
-        w = self.params.weights if weights is None else np.asarray(weights, dtype=float)
-        return np.array([w @ s.vertices / w.sum() for s in self.shapes])
+        """(T+1, 2) weighted center-of-mass positions; defaults to the dissipation weights."""
+        w = self.params.weights if weights is None else weights
+        return center_of_mass(np.stack([s.vertices for s in self.shapes]), w)
 
     @property
     def net_displacement(self) -> float:
@@ -106,13 +107,13 @@ class Trajectory:
 
 
 def local_tensor(tangent, w: float, epsilon: float) -> np.ndarray:
-    """Symmetric positive definite 3x3 dissipation tensor for one vertex."""
+    """Symmetric positive definite 2x2 dissipation tensor for one vertex."""
     if w <= 0:
         raise InvalidWeight(f"weight must be positive, got {w}")
     if not 0.0 < epsilon <= 1.0:
         raise InvalidAnisotropy(f"epsilon must lie in (0, 1], got {epsilon}")
     t = np.asarray(tangent, dtype=float)
-    return w * (np.eye(3) + (epsilon - 1.0) * np.outer(t, t))
+    return w * (np.eye(2) + (epsilon - 1.0) * np.outer(t, t))
 
 
 def _check_pair(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams):
@@ -148,23 +149,28 @@ def total_energy(traj: Trajectory) -> float:
     return float(np.sum(traj.step_energies))
 
 
+def _cross(a, b):
+    """Planar cross product a_x b_y - a_y b_x over the last axis."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
 def _momentum(weights, epsilon, p_prev, t_prev, p_next, t_next):
-    """Rotational (3) and translational (3) momentum, with the -1/2 prefactor."""
+    """Momentum 3-vector (rotational, x, y), with the -1/2 prefactor."""
     delta = p_next - p_prev
     d_prev = _apply_tensors(weights, epsilon, t_prev, delta)
     d_next = _apply_tensors(weights, epsilon, t_next, delta)
-    mu_rot = -0.5 * np.sum(np.cross(p_next, d_prev) + np.cross(p_prev, d_next), axis=0)
-    mu_tran = -0.25 * np.sum(d_prev + d_next, axis=0)
-    return mu_rot, mu_tran
+    mu = np.empty(3)
+    mu[0] = -0.5 * np.sum(_cross(p_next, d_prev) + _cross(p_prev, d_next))
+    mu[1:] = -0.25 * np.sum(d_prev + d_next, axis=0)
+    return mu
 
 
 def geometric_momentum(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams) -> np.ndarray:
-    """6-vector (rotational part, translational part) of the step momentum."""
+    """3-vector (rotational, x, y) of the step momentum."""
     _check_pair(prev, nxt, params)
-    mu_rot, mu_tran = _momentum(
+    return _momentum(
         params.weights, params.epsilon, prev.vertices, prev.tangents, nxt.vertices, nxt.tangents
     )
-    return np.concatenate([mu_rot, mu_tran])
 
 
 def _alignment_seed(prev: PositionedShape, nxt: PositionedShape, weights) -> np.ndarray:
@@ -186,32 +192,26 @@ def _alignment_seed(prev: PositionedShape, nxt: PositionedShape, weights) -> np.
     return np.array([angle, b[0], b[1]])
 
 
-def _cross(a, b):
-    """Planar (z) cross product a_x b_y - a_y b_x over the last axis."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-# (x, y) -> (-y, x) is the quarter turn z x v, written as a reversal and a sign flip
+# (x, y) -> (-y, x) is the counter-clockwise quarter turn, written as a reversal and a sign flip
 _QUARTER_TURN = np.array([-1.0, 1.0])
 
 
 class _StepProblem:
-    """Planar momentum residual and its Jacobian as functions of (angle, bx, by).
+    """Momentum residual and its Jacobian as functions of (angle, bx, by).
 
-    The kernel works on the (N, 2) in-plane columns of the shapes; `residual`
-    keeps the 3D momentum path as the reference it is checked against.
+    `residual` moves the next shape and evaluates `_momentum`, the reference
+    the one-pass kernel `residual_and_jacobian` is checked against.
     """
 
     def __init__(self, prev: PositionedShape, nxt: PositionedShape, params: DissipationParams):
-        self.prev = prev
         self.nxt = nxt
         self.w = params.weights
         self.eps = params.epsilon
         n = prev.num_vertices
-        self.p = prev.vertices[:, :2]
-        self.s = prev.tangents[:, :2]
+        self.p = prev.vertices
+        self.s = prev.tangents
         # next-shape vertices and tangents stacked, so one product rotates both
-        self.q_u_hat = np.concatenate([nxt.vertices[:, :2], nxt.tangents[:, :2]])
+        self.q_u_hat = np.concatenate([nxt.vertices, nxt.tangents])
         self.wk = self.w * (self.eps - 1.0)
         # rows: delta, then d(delta) along angle, bx, by; the bx and by rows are
         # the unit translations and, like D_prev applied to them, independent of x
@@ -223,13 +223,8 @@ class _StepProblem:
         )
 
     def residual(self, x):
-        rot = rotation_matrix(x[0])
-        q = self.nxt.vertices @ rot.T + np.array([x[1], x[2], 0.0])
-        u = self.nxt.tangents @ rot.T
-        mu_rot, mu_tran = _momentum(
-            self.w, self.eps, self.prev.vertices, self.prev.tangents, q, u
-        )
-        return np.array([mu_rot[2], mu_tran[0], mu_tran[1]])
+        moved = apply_rigid_motion(RigidMotion(x[0], x[1:]), self.nxt)
+        return _momentum(self.w, self.eps, self.p, self.s, moved.vertices, moved.tangents)
 
     def residual_and_jacobian(self, x):
         w, wk, p, s = self.w[:, None], self.wk, self.p, self.s
@@ -257,12 +252,6 @@ class _StepProblem:
         m[:, 0] = -0.5 * rot.sum(axis=1)
         m[:, 1:] = -0.25 * (dp + e).sum(axis=1)
         return m[0], m[1:].T
-
-    def positioned(self, x) -> PositionedShape:
-        motion = RigidMotion(x[0], np.array([x[1], x[2], 0.0]))
-        return PositionedShape(
-            motion.apply_points(self.nxt.vertices), motion.apply_vectors(self.nxt.tangents)
-        )
 
 
 def position_step(
@@ -330,8 +319,8 @@ def position_step(
             residual=residual,
             iterations=iterations,
         )
-    motion = RigidMotion(x[0], np.array([x[1], x[2], 0.0]))
-    return StepSolution(motion, problem.positioned(x), residual, iterations)
+    motion = RigidMotion(x[0], x[1:])
+    return StepSolution(motion, apply_rigid_motion(motion, next_shape), residual, iterations)
 
 
 def _damped_newton(problem, x, accept_tol, polish_tol, max_iterations):
@@ -444,10 +433,7 @@ def read_trajectory_csv(path) -> list[PositionedShape]:
             raise FileFormatError(
                 f"{path}: frame {t} has {len(frame)} vertices, not {shapes[0].num_vertices}"
             )
-        verts = np.zeros((len(frame), 3))
-        for k in sorted(frame):
-            verts[k, :2] = frame[k]
-        shapes.append(PositionedShape.from_vertices(verts))
+        shapes.append(PositionedShape.from_vertices([frame[k] for k in range(len(frame))]))
     return shapes
 
 

@@ -1,9 +1,8 @@
 """Discrete planar curves, rigid motions, and curvature-based reconstruction.
 
-Points are stored as (N, 3) arrays with a zero vertical (z) column, the
-layout that the public API and the file readers share; all rigid motions
-rotate about the vertical axis.  The step solver reads only the in-plane
-columns and takes planar cross products itself.
+Points are stored as (N, 2) arrays of in-plane coordinates; `_as_points`
+is the one place that checks that layout.  A rigid motion is a rotation
+angle with its 2x2 matrix plus a 2-vector translation.
 """
 
 from __future__ import annotations
@@ -19,35 +18,33 @@ _COINCIDENT_TOL = 1e-12
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ShapeMismatch(f"expected an (N, 3) array of points, got shape {pts.shape}")
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ShapeMismatch(f"expected an (N, 2) array of points, got shape {pts.shape}")
     return pts
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
-    """3x3 rotation by `angle` radians about the vertical axis."""
+    """2x2 rotation by `angle` radians."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return np.array([[c, -s], [s, c]])
 
 
 @dataclass(frozen=True)
 class RigidMotion:
-    """Planar rigid transform x -> A x + b with A a rotation about the vertical axis."""
+    """Planar rigid transform x -> A x + b with A a 2x2 rotation."""
 
     angle: float = 0.0
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    translation: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=float)
-        if t.shape == (2,):
-            t = np.array([t[0], t[1], 0.0])
-        if t.shape != (3,):
-            raise ShapeMismatch(f"translation must be a 2- or 3-vector, got shape {t.shape}")
+        if t.shape != (2,):
+            raise ShapeMismatch(f"translation must be a 2-vector, got shape {t.shape}")
         object.__setattr__(self, "translation", t)
 
     @classmethod
     def identity(cls) -> "RigidMotion":
-        return cls(0.0, np.zeros(3))
+        return cls()
 
     @property
     def matrix(self) -> np.ndarray:
@@ -65,9 +62,6 @@ class RigidMotion:
 
     def inverse(self) -> "RigidMotion":
         return RigidMotion(-self.angle, -(rotation_matrix(-self.angle) @ self.translation))
-
-    def apply(self, shape: "PositionedShape") -> "PositionedShape":
-        return apply_rigid_motion(self, shape)
 
 
 @dataclass(frozen=True)
@@ -157,18 +151,23 @@ def curve_from_curvature(curvature_samples, body_length: float) -> PositionedSha
     headings[0] = 0.5 * step * kappa[0]
     if m > 1:
         headings[1:] = headings[0] + step * np.cumsum(kappa[1:])
-    edge = body_length / m
-    verts = np.zeros((m + 1, 3))
-    verts[1:, 0] = edge * np.cumsum(np.cos(headings))
-    verts[1:, 1] = edge * np.cumsum(np.sin(headings))
+    return polyline_from_headings(headings, body_length / m)
+
+
+def polyline_from_headings(headings, edge_length: float) -> PositionedShape:
+    """Polyline from the origin whose edge i has length `edge_length` and heading `headings[i]`."""
+    verts = np.zeros((len(headings) + 1, 2))
+    verts[1:, 0] = edge_length * np.cumsum(np.cos(headings))
+    verts[1:, 1] = edge_length * np.cumsum(np.sin(headings))
     return PositionedShape.from_vertices(verts)
 
 
-def center_of_mass(shape: PositionedShape, weights) -> np.ndarray:
-    """Weighted mean of the vertex positions."""
+def center_of_mass(points, weights) -> np.ndarray:
+    """Weighted mean of the vertex positions: (..., N, 2) points or a shape give (..., 2)."""
+    pts = points.vertices if isinstance(points, PositionedShape) else np.asarray(points, dtype=float)
     w = np.asarray(weights, dtype=float).ravel()
-    if len(w) != shape.num_vertices:
-        raise ShapeMismatch(f"{len(w)} weights for {shape.num_vertices} vertices")
+    if pts.ndim < 2 or pts.shape[-1] != 2 or len(w) != pts.shape[-2]:
+        raise ShapeMismatch(f"{len(w)} weights for a vertex array of shape {pts.shape}")
     if np.any(w <= 0):
         raise NonPositiveWeight("all weights must be strictly positive")
-    return w @ shape.vertices / w.sum()
+    return w @ pts / w.sum()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FileFormatError, InvalidLength, ShapeMismatch
-from .geometry import PositionedShape, curve_from_curvature
+from .geometry import PositionedShape, curve_from_curvature, polyline_from_headings
 
 __all__ = [
     "SerpenoidPoint",
@@ -131,14 +131,9 @@ def joint_angles_to_shapes(angles, edge_length: float) -> list[PositionedShape]:
     if edge_length <= 0:
         raise InvalidLength(f"edge length must be positive, got {edge_length}")
     mat = np.atleast_2d(np.asarray(angles, dtype=float))
-    shapes = []
-    for row in mat:
-        headings = np.concatenate([[0.0], np.cumsum(row)])
-        verts = np.zeros((len(row) + 2, 3))
-        verts[1:, 0] = edge_length * np.cumsum(np.cos(headings))
-        verts[1:, 1] = edge_length * np.cumsum(np.sin(headings))
-        shapes.append(PositionedShape.from_vertices(verts))
-    return shapes
+    return [
+        polyline_from_headings(np.concatenate([[0.0], np.cumsum(row)]), edge_length) for row in mat
+    ]
 
 
 # -- file formats -------------------------------------------------------------

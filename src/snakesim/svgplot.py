@@ -206,10 +206,10 @@ def plot_trajectory(path, shapes, com_path=None, title="", stride=None, size=(64
     drawn = list(shapes[::stride])
     if shapes[-1] is not drawn[-1]:
         drawn.append(shapes[-1])
-    all_xy = np.concatenate([s.vertices[:, :2] for s in drawn])
+    all_xy = np.concatenate([s.vertices for s in drawn])
     if com_path is not None:
         com_path = np.asarray(com_path, dtype=float)
-        all_xy = np.concatenate([all_xy, com_path[:, :2]])
+        all_xy = np.concatenate([all_xy, com_path])
     canvas = SvgCanvas(*size)
     frame = _Frame(canvas, (all_xy[:, 0].min(), all_xy[:, 0].max()), (all_xy[:, 1].min(), all_xy[:, 1].max()), equal_aspect=True)
     frame.draw_axes("x [m]", "y [m]", title)

@@ -162,7 +162,7 @@ class TestCostOfTransport:
 class TestSimulatedPowerProxy:
     def test_stationary_trajectory(self):
         shape = PositionedShape.from_vertices(
-            np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.6, 0.0, 0.0]])
+            np.array([[0.0, 0.0], [0.3, 0.0], [0.6, 0.0]])
         )
         params = DissipationParams.uniform(1.38, 3, 0.5)
         traj = integrate_motion_trajectory([shape] * 4, params)
@@ -180,7 +180,7 @@ class TestSimulatedPowerProxy:
         )
 
     def test_nonpositive_duration_rejected(self):
-        shape = PositionedShape.from_vertices(np.array([[0.0, 0, 0], [0.3, 0, 0]]))
+        shape = PositionedShape.from_vertices(np.array([[0.0, 0], [0.3, 0]]))
         params = DissipationParams.uniform(1.38, 2, 0.5)
         traj = integrate_motion_trajectory([shape] * 2, params)
         with pytest.raises(NonPositiveDuration):

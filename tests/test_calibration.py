@@ -24,6 +24,7 @@ from snakesim.errors import (
     InvalidAnisotropy,
     InvalidWeight,
     NonMonotoneWarning,
+    ShapeMismatch,
 )
 from snakesim.shapespace import GaitEllipse, gait_to_shape_sequence
 
@@ -48,7 +49,7 @@ class TestExtractShapes:
         frames = np.stack([base + [0.1 * t, 0.05 * t] for t in range(4)])
         shapes = extract_shapes(MocapTrajectory(np.arange(4.0), frames))
         for t, shape in enumerate(shapes):
-            assert np.allclose(shape.tangents, [[1, 0, 0]] * 3)
+            assert np.allclose(shape.tangents, [[1, 0]] * 3)
             assert np.allclose(shape.vertices[0, :2], [0.1 * t, 0.05 * t])
 
     def test_round_trip_through_marker_frames(self):
@@ -56,7 +57,7 @@ class TestExtractShapes:
         shapes = extract_shapes(mocap)
         for frame, shape in zip(mocap.frames, shapes):
             assert np.array_equal(shape.vertices[:, :2], frame)
-            assert np.all(shape.vertices[:, 2] == 0.0)
+            assert shape.vertices.shape == frame.shape
 
     def test_downsampling_keeps_endpoints(self):
         rng = np.random.default_rng(30)
@@ -79,6 +80,20 @@ class TestExtractShapes:
             MocapTrajectory(np.arange(3.0), np.zeros((2, 3, 2)))
         with pytest.raises(FileFormatError):
             MocapTrajectory(np.array([0.0, 0.0]), np.zeros((2, 3, 2)))
+
+    def test_non_finite_markers_rejected(self):
+        for bad in (np.nan, np.inf):
+            frames = np.zeros((3, 2, 2)) + [[0.0, 0.0], [0.3, 0.0]]
+            frames[1, 0, 1] = bad
+            with pytest.raises(FileFormatError):
+                MocapTrajectory(np.arange(3.0), frames)
+
+    def test_non_finite_timestamps_rejected(self):
+        frames = np.zeros((3, 2, 2)) + [[0.0, 0.0], [0.3, 0.0]]
+        for bad in (np.nan, np.inf):
+            # a NaN last timestamp slips through a strictly-increasing check
+            with pytest.raises(FileFormatError):
+                MocapTrajectory(np.array([0.0, 1.0, bad]), frames)
 
 
 class TestResimulate:
@@ -105,12 +120,16 @@ class TestResimulate:
         traj = resimulate(noisy, params)
         for prev, nxt in zip(traj.shapes, traj.shapes[1:]):
             mu = geometric_momentum(prev, nxt, params)
-            residual = np.array([mu[2], mu[3], mu[4]])
+            residual = mu
             scale = params.weights.sum() * nxt.polyline_length
             assert np.linalg.norm(residual) <= 1e-10 * scale
 
 
 class TestComCurve:
+    def test_third_column_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            ComCurve(np.arange(2.0), np.zeros((2, 3)))
+
     def test_two_markers_midpoint(self):
         frames = np.array([[[0.0, 0.0], [2.0, 0.0]], [[0.0, 2.0], [2.0, 2.0]]])
         curve = com_curve(MocapTrajectory(np.arange(2.0), frames), [1.0, 1.0])
@@ -207,6 +226,18 @@ class TestFitAnisotropy:
             fit = fit_anisotropy(mocap, params.weights)
             assert abs(fit.epsilon - 0.3) < 2e-3
 
+    def test_curves_are_the_evaluated_resimulations(self):
+        mocap, params = synthetic_mocap(0.3, timesteps=8, edges=5)
+        fit = fit_anisotropy(mocap, params.weights)
+        assert len(fit.curves) == len(fit.evaluations)
+        for (eps, rms, displacement), curve in list(zip(fit.evaluations, fit.curves))[::4]:
+            fresh = com_curve(resimulate(mocap, DissipationParams(params.weights, eps)),
+                              params.weights, times=mocap.times)
+            assert np.array_equal(curve.times, fresh.times)
+            assert np.array_equal(curve.positions, fresh.positions)
+            assert displacement == curve.final_displacement
+            assert rms == rms_error(curve, com_curve(mocap, params.weights))
+
     def test_unpacks_as_pair(self):
         fit = AnisotropyFit(0.25, 1e-9, [(0.25, 1e-9, 0.1)])
         epsilon, rms = fit
@@ -224,7 +255,7 @@ class TestFitAnisotropy:
         def synthetic(mocap, weights, exp_curve, epsilon):
             # RMS has its minimum at 0.3 while displacement is V-shaped: the
             # monotonicity check must fail and hand over to the RMS search.
-            return epsilon, (epsilon - 0.3) ** 2, 0.1 + abs(epsilon - 0.4)
+            return (epsilon, (epsilon - 0.3) ** 2, 0.1 + abs(epsilon - 0.4)), None
 
         monkeypatch.setattr(cal, "_evaluate", synthetic)
         mocap, params = synthetic_mocap(0.3, timesteps=6, edges=4)
@@ -263,6 +294,15 @@ class TestFileFormats:
         with pytest.raises(FileFormatError):
             read_mocap_csv(path)
         path.write_text("time_s,m0_x,m0_y\n")
+        with pytest.raises(FileFormatError):
+            read_mocap_csv(path)
+
+    def test_rejects_nan_cells(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("time_s,m0_x,m0_y,m1_x,m1_y\n0.0,0.0,0.0,0.3,0.0\n1.0,nan,0.0,0.3,0.0\n")
+        with pytest.raises(FileFormatError):
+            read_mocap_csv(path)
+        path.write_text("time_s,m0_x,m0_y,m1_x,m1_y\n0.0,0.0,0.0,0.3,0.0\nnan,0.0,0.0,0.3,0.0\n")
         with pytest.raises(FileFormatError):
             read_mocap_csv(path)
 

@@ -205,6 +205,36 @@ class TestCalibrate:
         assert all(eps <= 1.0 for eps, _, _ in evaluations)
         ET.parse(out / "calibration.svg")
 
+    def test_resimulates_once_per_evaluation(self, tmp_path, capsys, mocap_file, monkeypatch):
+        import snakesim.calibration as calibration
+
+        calls = []
+        original = calibration.resimulate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "resimulate", counted)
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, "calibrate", mocap_file, "--out", str(out))
+        assert code == 0
+        assert len(calls) == len(read_calibration_csv(out / "calibration.csv"))
+
+    def test_nan_marker_exits_2(self, tmp_path, capsys, mocap_file):
+        bad = tmp_path / "nan.csv"
+        with open(mocap_file) as handle:
+            lines = handle.read().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "nan"
+        lines[3] = ",".join(cells)
+        bad.write_text("\n".join(lines) + "\n")
+        for command in ("calibrate", "resim"):
+            out = tmp_path / command
+            code, _, err = run(capsys, command, str(bad), "--out", str(out))
+            assert code == 2 and "finite" in err
+            assert "solver failed" not in err
+
 
 class TestResim:
     def test_self_consistency(self, tmp_path, capsys, mocap_file):

@@ -23,18 +23,21 @@ def random_motion(rng, scale=1.0):
 
 
 class TestRigidMotion:
-    def test_rotation_matrix_fixes_vertical_axis(self):
+    def test_rotation_matrix_turns_x_axis_to_angle(self):
         rng = np.random.default_rng(1)
         for angle in rng.uniform(-10, 10, size=20):
             a = rotation_matrix(angle)
-            assert np.allclose(a @ a.T, np.eye(3), atol=1e-14)
+            assert np.allclose(a @ a.T, np.eye(2), atol=1e-14)
             assert np.linalg.det(a) == pytest.approx(1.0, abs=1e-13)
-            assert np.allclose(a @ [0, 0, 1], [0, 0, 1])
+            assert np.allclose(a @ [1, 0], [np.cos(angle), np.sin(angle)])
+
+    def test_translation_must_be_planar(self):
+        with pytest.raises(ShapeMismatch):
+            RigidMotion(0.0, np.zeros(3))
 
     def test_identity_and_inverse(self):
         rng = np.random.default_rng(2)
-        points = rng.normal(size=(7, 3))
-        points[:, 2] = 0.0
+        points = rng.normal(size=(7, 2))
         for _ in range(25):
             g = random_motion(rng)
             roundtrip = g.compose(g.inverse()).apply_points(points)
@@ -43,8 +46,7 @@ class TestRigidMotion:
     def test_composition_is_application_order(self):
         # compose(a, b) acts as "b first, then a"
         rng = np.random.default_rng(3)
-        points = rng.normal(size=(5, 3))
-        points[:, 2] = 0.0
+        points = rng.normal(size=(5, 2))
         for _ in range(25):
             a, b = random_motion(rng), random_motion(rng)
             assert np.allclose(
@@ -56,39 +58,45 @@ class TestRigidMotion:
 
 class TestTangents:
     def test_collinear_vertices(self):
-        verts = np.zeros((5, 3))
+        verts = np.zeros((5, 2))
         verts[:, 0] = np.arange(5) * 0.3
-        assert np.allclose(tangents_from_vertices(verts), [1.0, 0.0, 0.0])
+        assert np.allclose(tangents_from_vertices(verts), [1.0, 0.0])
 
     def test_right_angle_bisector(self):
-        verts = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0]])
+        verts = np.array([[0.0, 0], [1, 0], [1, 1]])
         tangents = tangents_from_vertices(verts)
         r = 1 / np.sqrt(2)
-        assert np.allclose(tangents[1], [r, r, 0.0], atol=1e-14)
-        assert np.allclose(tangents[0], [1, 0, 0])
-        assert np.allclose(tangents[2], [0, 1, 0])
+        assert np.allclose(tangents[1], [r, r], atol=1e-14)
+        assert np.allclose(tangents[0], [1, 0])
+        assert np.allclose(tangents[2], [0, 1])
 
     def test_regular_64gon_tangents_orthogonal_to_radii(self):
         # tangent at each vertex of a regular polygon approximates the circle
         # tangent (-sin, cos); agreement within the discretization error O(h^2)
         n = 64
         phi = 2 * np.pi * np.arange(n + 1) / n
-        verts = np.column_stack([np.cos(phi), np.sin(phi), np.zeros(n + 1)])
+        verts = np.column_stack([np.cos(phi), np.sin(phi)])
         tangents = tangents_from_vertices(verts)
-        analytic = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros(n + 1)])
+        analytic = np.column_stack([-np.sin(phi), np.cos(phi)])
         interior_err = np.max(np.abs(tangents[1:-1] - analytic[1:-1]))
         assert interior_err < (2 * np.pi / n) ** 2
 
     def test_coincident_vertices_raise(self):
-        verts = np.array([[0.0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 0, 0]])
+        verts = np.array([[0.0, 0], [1, 0], [1, 0], [2, 0]])
         with pytest.raises(ZeroLengthEdge):
             tangents_from_vertices(verts)
+
+    def test_points_with_a_third_column_rejected(self):
+        verts = np.array([[0.0, 0, 0], [1, 0, 0]])
+        with pytest.raises(ShapeMismatch):
+            tangents_from_vertices(verts)
+        with pytest.raises(ShapeMismatch):
+            PositionedShape.from_vertices(verts)
 
     def test_commutes_with_rigid_motions(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            verts = np.cumsum(rng.normal(size=(6, 3)), axis=0)
-            verts[:, 2] = 0.0
+            verts = np.cumsum(rng.normal(size=(6, 2)), axis=0)
             g = random_motion(rng)
             moved = g.apply_points(verts)
             assert np.allclose(
@@ -100,7 +108,7 @@ class TestTangents:
 
 class TestApplyRigidMotion:
     def _shape(self):
-        verts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 1, 0]])
+        verts = np.array([[0.0, 0], [1, 0], [2, 1]])
         return PositionedShape(verts, tangents_from_vertices(verts))
 
     def test_identity_leaves_shape_unchanged(self):
@@ -112,13 +120,13 @@ class TestApplyRigidMotion:
     def test_pure_translation_keeps_tangents(self):
         shape = self._shape()
         moved = apply_rigid_motion(RigidMotion(0.0, np.array([3.0, -1.0])), shape)
-        assert np.allclose(moved.vertices, shape.vertices + [3.0, -1.0, 0.0])
+        assert np.allclose(moved.vertices, shape.vertices + [3.0, -1.0])
         assert np.array_equal(moved.tangents, shape.tangents)
 
     def test_quarter_turn_rotates_tangent_x_to_y(self):
         shape = self._shape()
         moved = apply_rigid_motion(RigidMotion(np.pi / 2), shape)
-        assert np.allclose(moved.tangents[0], [0, 1, 0], atol=1e-15)
+        assert np.allclose(moved.tangents[0], [0, 1], atol=1e-15)
 
     def test_group_action(self):
         rng = np.random.default_rng(5)
@@ -134,8 +142,8 @@ class TestApplyRigidMotion:
 class TestCurveFromCurvature:
     def test_zero_curvature_is_straight_segment(self):
         shape = curve_from_curvature(np.zeros(11), 0.92)
-        assert shape.vertices[0] == pytest.approx([0, 0, 0])
-        assert shape.vertices[-1] == pytest.approx([0.92, 0, 0])
+        assert shape.vertices[0] == pytest.approx([0, 0])
+        assert shape.vertices[-1] == pytest.approx([0.92, 0])
         assert np.allclose(shape.vertices[:, 1:], 0.0)
 
     def test_full_turn_closes(self):
@@ -169,23 +177,22 @@ class TestCurveFromCurvature:
 
 class TestCenterOfMass:
     def test_equal_weights_midpoint(self):
-        shape = PositionedShape.from_vertices(np.array([[0.0, 0, 0], [2, 0, 0]]))
-        assert center_of_mass(shape, [1.0, 1.0]) == pytest.approx([1, 0, 0])
+        shape = PositionedShape.from_vertices(np.array([[0.0, 0], [2, 0]]))
+        assert center_of_mass(shape, [1.0, 1.0]) == pytest.approx([1, 0])
 
     def test_weighted_mean(self):
-        shape = PositionedShape.from_vertices(np.array([[0.0, 0, 0], [4, 0, 0]]))
-        assert center_of_mass(shape, [3.0, 1.0]) == pytest.approx([1, 0, 0])
+        shape = PositionedShape.from_vertices(np.array([[0.0, 0], [4, 0]]))
+        assert center_of_mass(shape, [3.0, 1.0]) == pytest.approx([1, 0])
 
     def test_regular_polygon_centroid(self):
         phi = 2 * np.pi * np.arange(12) / 12
-        verts = np.column_stack([2 + np.cos(phi), -1 + np.sin(phi), np.zeros(12)])
+        verts = np.column_stack([2 + np.cos(phi), -1 + np.sin(phi)])
         shape = PositionedShape(verts, tangents_from_vertices(verts))
-        assert center_of_mass(shape, np.ones(12)) == pytest.approx([2, -1, 0], abs=1e-12)
+        assert center_of_mass(shape, np.ones(12)) == pytest.approx([2, -1], abs=1e-12)
 
     def test_equivariance(self):
         rng = np.random.default_rng(7)
-        verts = np.cumsum(rng.normal(size=(8, 3)), axis=0)
-        verts[:, 2] = 0.0
+        verts = np.cumsum(rng.normal(size=(8, 2)), axis=0)
         shape = PositionedShape(verts, tangents_from_vertices(verts))
         weights = rng.uniform(0.1, 2.0, size=8)
         for _ in range(10):
@@ -195,8 +202,17 @@ class TestCenterOfMass:
             assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_bad_weights(self):
-        shape = PositionedShape.from_vertices(np.array([[0.0, 0, 0], [1, 0, 0]]))
+        shape = PositionedShape.from_vertices(np.array([[0.0, 0], [1, 0]]))
         with pytest.raises(NonPositiveWeight):
             center_of_mass(shape, [1.0, 0.0])
         with pytest.raises(ShapeMismatch):
             center_of_mass(shape, [1.0, 1.0, 1.0])
+
+    def test_stacked_frames_match_per_shape(self):
+        rng = np.random.default_rng(8)
+        frames = rng.normal(size=(4, 6, 2))
+        weights = rng.uniform(0.1, 2.0, size=6)
+        stacked = center_of_mass(frames, weights)
+        assert stacked.shape == (4, 2)
+        for frame, com in zip(frames, stacked):
+            assert np.array_equal(com, center_of_mass(PositionedShape.from_vertices(frame), weights))

@@ -106,14 +106,14 @@ class TestJointAngles:
         shapes = joint_angles_to_shapes(np.zeros((3, 4)), edge_length=0.1)
         angles = shapes_to_joint_angles(shapes)
         assert np.max(np.abs(angles)) == 0.0
-        assert shapes[0].vertices[-1] == pytest.approx([0.5, 0, 0])
+        assert shapes[0].vertices[-1] == pytest.approx([0.5, 0])
 
     def test_right_angle_bend(self):
         shapes = joint_angles_to_shapes(np.array([[0.0, np.pi / 2, 0.0]]), edge_length=1.0)
         angles = shapes_to_joint_angles(shapes)
         assert angles[0] == pytest.approx([0.0, np.pi / 2, 0.0], abs=1e-14)
         # the bend turns the remaining edges from +x to +y
-        assert shapes[0].vertices[-1] == pytest.approx([2.0, 2.0, 0.0], abs=1e-14)
+        assert shapes[0].vertices[-1] == pytest.approx([2.0, 2.0], abs=1e-14)
 
     def test_random_round_trip_angles(self):
         rng = np.random.default_rng(10)

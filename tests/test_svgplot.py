@@ -58,7 +58,7 @@ class TestPlotTrajectory:
     def shapes(self, count=5):
         out = []
         for t in range(count):
-            verts = np.array([[0.0 + 0.1 * t, 0.0, 0.0], [0.3 + 0.1 * t, 0.05, 0.0], [0.6 + 0.1 * t, 0.0, 0.0]])
+            verts = np.array([[0.0 + 0.1 * t, 0.0], [0.3 + 0.1 * t, 0.05], [0.6 + 0.1 * t, 0.0]])
             out.append(PositionedShape.from_vertices(verts))
         return out
 
