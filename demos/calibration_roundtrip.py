@@ -35,7 +35,7 @@ def main():
     mocap = mocap_from_shapes(traj.shapes, np.linspace(0.0, 1.0, len(traj.shapes)))
     if args.noise > 0:
         rng = np.random.default_rng(args.seed)
-        noisy = mocap.positions + rng.normal(scale=args.noise, size=mocap.positions.shape)
+        noisy = mocap.frames + rng.normal(scale=args.noise, size=mocap.frames.shape)
         mocap = MocapTrajectory(mocap.times, noisy)
 
     fit = fit_anisotropy(mocap, params.weights)

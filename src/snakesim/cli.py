@@ -242,7 +242,12 @@ def cmd_optimize(args) -> int:
 
     obj = _objective_config(cfg)
     seed_loss, seed_disp, _ = evaluate_gait(seed_gait, obj)
-    best, history = optimize_gait(seed_gait, DEFAULT_BOUNDS, obj, max_evaluations=args.max_evals)
+    try:
+        best, history = optimize_gait(seed_gait, DEFAULT_BOUNDS, obj, max_evaluations=args.max_evals)
+    except (NoConvergence, DegenerateJacobian) as exc:
+        # keep the evaluations that finished; main() still maps the failure to exit 3
+        _emit(_out_path(cfg, "report.csv"), write_report_csv, exc.history)
+        raise
     best_rec = min(history, key=lambda r: r.loss)
     print(
         f"seed loss {seed_loss:.6g} (displacement {seed_disp:.6f} m) -> "

@@ -32,7 +32,7 @@ from .errors import (
     NoConvergence,
     ShapeMismatch,
 )
-from .geometry import PositionedShape, RigidMotion, apply_rigid_motion, center_of_mass, rotation_matrix
+from .geometry import PositionedShape, RigidMotion, apply_rigid_motion, center_of_mass, rigid_registration
 
 __all__ = [
     "DissipationParams",
@@ -174,22 +174,14 @@ def geometric_momentum(prev: PositionedShape, nxt: PositionedShape, params: Diss
 
 
 def _alignment_seed(prev: PositionedShape, nxt: PositionedShape, weights) -> np.ndarray:
-    """Weighted planar least-squares registration of `nxt` onto `prev`.
+    """Weighted planar least-squares registration of `nxt` onto `prev`, as (angle, bx, by).
 
     Used as the default Newton seed: it is equivariant under rigid motions of
     `prev`, which keeps the solver in the basin of the physical root no matter
     where the previous shape sits in the world.
     """
-    w = weights / weights.sum()
-    p_bar = w @ prev.vertices
-    q_bar = w @ nxt.vertices
-    pc = prev.vertices - p_bar
-    qc = nxt.vertices - q_bar
-    sin_sum = float(np.sum(weights * (qc[:, 0] * pc[:, 1] - qc[:, 1] * pc[:, 0])))
-    cos_sum = float(np.sum(weights * (qc[:, 0] * pc[:, 0] + qc[:, 1] * pc[:, 1])))
-    angle = 0.0 if sin_sum == 0.0 and cos_sum == 0.0 else float(np.arctan2(sin_sum, cos_sum))
-    b = p_bar - rotation_matrix(angle) @ q_bar
-    return np.array([angle, b[0], b[1]])
+    motion = rigid_registration(nxt.vertices, prev.vertices, weights)
+    return np.array([motion.angle, motion.translation[0], motion.translation[1]])
 
 
 # (x, y) -> (-y, x) is the counter-clockwise quarter turn, written as a reversal and a sign flip
@@ -399,12 +391,12 @@ def write_trajectory_csv(path, shapes: list[PositionedShape] | Trajectory):
     """Rows (t, k, x, y), one per vertex per timestep, meters."""
     if isinstance(shapes, Trajectory):
         shapes = shapes.shapes
+    # the bytes csv.writer would give: repr floats, no quoting needed, \r\n row ends
+    rows = ["t,k,x,y\r\n"]
+    for t, shape in enumerate(shapes):
+        rows += [f"{t},{k},{x!r},{y!r}\r\n" for k, (x, y) in enumerate(shape.vertices.tolist())]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "k", "x", "y"])
-        for t, shape in enumerate(shapes):
-            for k, vertex in enumerate(shape.vertices):
-                writer.writerow([t, k, repr(float(vertex[0])), repr(float(vertex[1]))])
+        handle.write("".join(rows))
 
 
 def read_trajectory_csv(path) -> list[PositionedShape]:

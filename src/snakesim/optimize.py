@@ -16,7 +16,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dynamics import DissipationParams, Trajectory, integrate_motion_trajectory, total_energy
-from .errors import FileFormatError, NonFiniteLoss, ShapeMismatch
+from .errors import DegenerateJacobian, FileFormatError, NoConvergence, NonFiniteLoss, ShapeMismatch
+from .geometry import PositionedShape, rigid_registration
 from .shapespace import GaitEllipse, gait_to_shape_sequence
 
 __all__ = [
@@ -147,10 +148,28 @@ def random_gait(seed: int, bounds: GaitBounds = DEFAULT_BOUNDS) -> GaitEllipse:
 
 
 def simulate_gait(gait: GaitEllipse, sim: SimConfig, params: DissipationParams) -> Trajectory:
-    """Integrate `cycles` repetitions of the gait, closing back on the start shape."""
+    """Integrate `cycles` repetitions of the gait, closing back on the start shape.
+
+    Only the first cycle is solved step by step.  The dissipation metric is
+    invariant under planar rigid motions, so every later cycle is the first
+    one moved by its net rigid motion M (the motion carrying frame 0 onto
+    frame T, recovered by weighted registration): frame kT + j is M^k applied
+    to frame j, and each cycle dissipates the same step energies.
+    """
     cycle = gait_to_shape_sequence(gait, sim.timesteps, sim.edges, sim.body_length)
-    shapes = cycle * sim.cycles + [cycle[0]]
-    return integrate_motion_trajectory(shapes, params)
+    first = integrate_motion_trajectory(cycle + [cycle[0]], params)
+    if sim.cycles == 1:
+        return first
+    net = rigid_registration(first.shapes[0].vertices, first.shapes[-1].vertices, params.weights)
+    # frames 1..T of the first cycle, stacked (T, N, 2) so each power of M moves them at once
+    vertices = np.stack([shape.vertices for shape in first.shapes[1:]])
+    tangents = np.stack([shape.tangents for shape in first.shapes[1:]])
+    shapes = list(first.shapes)
+    power = net
+    for _ in range(1, sim.cycles):
+        shapes += map(PositionedShape, power.apply_points(vertices), power.apply_vectors(tangents))
+        power = net.compose(power)
+    return Trajectory(shapes, np.tile(first.step_energies, sim.cycles), params)
 
 
 def evaluate_gait(gait: GaitEllipse, cfg: ObjectiveConfig) -> tuple[float, float, float]:
@@ -187,7 +206,9 @@ def optimize_gait(
     pinned, are held fixed).  Out-of-box trial points are clipped at
     evaluation.  The search stops when the simplex diameter falls below 1e-4
     in normalized coordinates or after `max_evaluations` objective calls.
-    The returned gait never scores worse than the seed.
+    The returned gait never scores worse than the seed.  When a forward solve
+    fails, the NoConvergence or DegenerateJacobian it raises carries the
+    evaluations made before it as `history`.
     """
     lo, hi = bounds.as_arrays()
     x_seed = np.clip(_gait_vector(seed_gait), lo, hi)
@@ -212,7 +233,11 @@ def optimize_gait(
 
     def objective(u) -> float:
         gait = decode(u)
-        loss, displacement, energy = evaluate_gait(gait, cfg)
+        try:
+            loss, displacement, energy = evaluate_gait(gait, cfg)
+        except (NoConvergence, DegenerateJacobian) as exc:
+            exc.history = list(history)
+            raise
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss {loss} at {gait}", gait=gait)
         history.append(EvaluationRecord(len(history), loss, displacement, energy, gait))

@@ -15,7 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FileFormatError, InvalidLength, ShapeMismatch
-from .geometry import PositionedShape, curve_from_curvature, polyline_from_headings
+from .geometry import (  # curve_from_curvature stays importable here: the per-layer benchmark wraps it
+    PositionedShape,
+    curve_from_curvature,
+    polyline_from_headings,
+    shapes_from_vertices,
+    vertices_from_curvature,
+)
 
 __all__ = [
     "SerpenoidPoint",
@@ -80,8 +86,11 @@ def serpenoid_curvature(point: SerpenoidPoint, xi: float, s):
     return point.w1 * np.sin(phase) + point.w2 * np.cos(phase)
 
 
-def sample_gait(ellipse: GaitEllipse, t: float) -> SerpenoidPoint:
-    """Shape-space point reached at phase t (1-periodic) along the gait ellipse."""
+def sample_gait(ellipse: GaitEllipse, t) -> SerpenoidPoint:
+    """Shape-space point reached at phase t (1-periodic) along the gait ellipse.
+
+    An array of phases gives a point whose coordinates are arrays.
+    """
     phase = 2.0 * np.pi * t
     u = ellipse.a * np.cos(phase)
     v = ellipse.a * ellipse.sigma * np.sin(phase)
@@ -96,18 +105,19 @@ def gait_to_shape_sequence(
 
     Step j corresponds to phase t = j/timesteps; the closing sample at t = 1
     duplicates t = 0 and is omitted.  Curvature is sampled at the arc-length
-    stations s = i/edges expected by curve_from_curvature.
+    stations s = i/edges expected by curve_from_curvature; all timesteps are
+    sampled and reconstructed in one array pass.
     """
     if timesteps < 2:
         raise ValueError(f"need at least 2 timesteps, got {timesteps}")
     if edges < 2:
         raise ValueError(f"need at least 2 edges, got {edges}")
     stations = np.arange(edges) / edges
-    shapes = []
-    for j in range(timesteps):
-        point = sample_gait(ellipse, j / timesteps)
-        shapes.append(curve_from_curvature(serpenoid_curvature(point, ellipse.xi, stations), body_length))
-    return shapes
+    points = sample_gait(ellipse, np.arange(timesteps) / timesteps)
+    # (timesteps, edges) curvature: one row of station samples per timestep
+    column = SerpenoidPoint(points.w1[:, None], points.w2[:, None])
+    kappa = serpenoid_curvature(column, ellipse.xi, stations)
+    return shapes_from_vertices(vertices_from_curvature(kappa, body_length))
 
 
 def shapes_to_joint_angles(shapes: list[PositionedShape]) -> np.ndarray:
@@ -131,9 +141,8 @@ def joint_angles_to_shapes(angles, edge_length: float) -> list[PositionedShape]:
     if edge_length <= 0:
         raise InvalidLength(f"edge length must be positive, got {edge_length}")
     mat = np.atleast_2d(np.asarray(angles, dtype=float))
-    return [
-        polyline_from_headings(np.concatenate([[0.0], np.cumsum(row)]), edge_length) for row in mat
-    ]
+    headings = np.concatenate([np.zeros((len(mat), 1)), np.cumsum(mat, axis=1)], axis=1)
+    return shapes_from_vertices(polyline_from_headings(headings, edge_length))
 
 
 # -- file formats -------------------------------------------------------------

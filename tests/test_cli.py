@@ -168,6 +168,31 @@ class TestOptimize:
         best, _ = read_gait_file(out / "gait_optimized.txt")
         assert best.xi == 1.25
 
+    def test_solver_failure_keeps_report_and_exits_3(self, tmp_path, capsys, monkeypatch):
+        import snakesim.optimize as opt
+
+        fail_at = 6
+        calls = []
+        evaluate = opt.evaluate_gait
+
+        def fails_late(gait, cfg):
+            calls.append(gait)
+            if len(calls) == fail_at:
+                raise NoConvergence("timestep 4: synthetic stall")
+            return evaluate(gait, cfg)
+
+        monkeypatch.setattr(opt, "evaluate_gait", fails_late)
+        out = tmp_path / "run"
+        code, _, err = run(
+            capsys, "optimize", "--seed", "3", "--timesteps", "10", "--edges", "5",
+            "--max-evals", "25", "--out", str(out),
+        )
+        assert code == 3
+        assert "solver failed" in err
+        history = read_report_csv(out / "report.csv")
+        assert [rec.gait for rec in history] == calls[:-1]
+        assert not (out / "gait_optimized.txt").exists()
+
     def test_c_sweep_emits_grid_table(self, tmp_path, capsys):
         out = tmp_path / "run"
         code, _, _ = run(

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -407,6 +410,22 @@ class TestTrajectoryFiles:
         assert len(back) == len(traj.shapes)
         for lhs, rhs in zip(traj.shapes, back):
             assert np.array_equal(lhs.vertices[:, :2], rhs.vertices[:, :2])
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        from snakesim.optimize import SimConfig, simulate_gait
+
+        sim = SimConfig(timesteps=12, edges=6, cycles=4)
+        params = DissipationParams.uniform(1.38, sim.num_vertices, 0.1865)
+        traj = simulate_gait(REFERENCE_GAIT, sim, params)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj)
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(["t", "k", "x", "y"])
+        for t, shape in enumerate(traj.shapes):
+            for k, vertex in enumerate(shape.vertices):
+                writer.writerow([t, k, repr(float(vertex[0])), repr(float(vertex[1]))])
+        assert path.read_bytes() == reference.getvalue().encode()
 
     def test_header_is_mandatory(self, tmp_path):
         path = tmp_path / "noheader.csv"

@@ -8,7 +8,9 @@ from snakesim.geometry import (
     apply_rigid_motion,
     center_of_mass,
     curve_from_curvature,
+    rigid_registration,
     rotation_matrix,
+    shapes_from_vertices,
     tangents_from_vertices,
 )
 
@@ -93,6 +95,18 @@ class TestTangents:
         with pytest.raises(ShapeMismatch):
             PositionedShape.from_vertices(verts)
 
+    def test_stacked_polylines_match_one_at_a_time(self):
+        rng = np.random.default_rng(7)
+        stack = np.cumsum(rng.normal(size=(5, 9, 2)), axis=1)
+        tangents = tangents_from_vertices(stack)
+        for verts, tangs in zip(stack, tangents):
+            assert np.array_equal(tangs, tangents_from_vertices(verts))
+        shapes = shapes_from_vertices(stack)
+        assert [s.num_vertices for s in shapes] == [9] * 5
+        stack[3, 5] = stack[3, 4]
+        with pytest.raises(ZeroLengthEdge, match="vertices 4 and 5"):
+            tangents_from_vertices(stack)
+
     def test_commutes_with_rigid_motions(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -137,6 +151,18 @@ class TestApplyRigidMotion:
             rhs = apply_rigid_motion(g2.compose(g1), shape)
             assert np.max(np.abs(lhs.vertices - rhs.vertices)) < 1e-12
             assert np.max(np.abs(lhs.tangents - rhs.tangents)) < 1e-12
+
+
+class TestRigidRegistration:
+    def test_recovers_motion_of_a_rigid_image(self):
+        rng = np.random.default_rng(8)
+        weights = rng.uniform(0.5, 2.0, size=7)
+        for _ in range(20):
+            source = np.cumsum(rng.normal(size=(7, 2)), axis=0)
+            g = random_motion(rng, scale=5.0)
+            found = rigid_registration(source, g.apply_points(source), weights)
+            assert abs(np.angle(np.exp(1j * (found.angle - g.angle)))) < 1e-12
+            assert np.max(np.abs(found.translation - g.translation)) < 1e-12
 
 
 class TestCurveFromCurvature:

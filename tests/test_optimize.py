@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from snakesim.dynamics import DissipationParams
-from snakesim.errors import FileFormatError, NonFiniteLoss, ShapeMismatch
+from snakesim.dynamics import DissipationParams, geometric_momentum, integrate_motion_trajectory
+from snakesim.errors import DegenerateJacobian, FileFormatError, NoConvergence, NonFiniteLoss, ShapeMismatch
 from snakesim.optimize import (
     DEFAULT_BOUNDS,
     DISSIPATION_COEFFICIENT_GRID,
@@ -19,7 +19,7 @@ from snakesim.optimize import (
     simulate_gait,
     write_report_csv,
 )
-from snakesim.shapespace import GaitEllipse
+from snakesim.shapespace import GaitEllipse, gait_to_shape_sequence
 
 REFERENCE_GAIT = GaitEllipse(sigma=1.0, xc=0.0, yc=0.0, theta=0.0, a=3.0, xi=1.0)
 
@@ -245,6 +245,28 @@ class TestOptimizeGait:
         _, history = optimize_gait(random_gait(9), DEFAULT_BOUNDS, cfg, max_evaluations=25)
         assert len(history) <= 25 + 1  # scipy may finish the in-flight iteration
 
+    @pytest.mark.parametrize("failure", [NoConvergence, DegenerateJacobian])
+    def test_solver_failure_keeps_history(self, monkeypatch, failure):
+        import snakesim.optimize as opt
+
+        fail_at = 6
+        calls = []
+
+        def fails_late(gait, cfg):
+            calls.append(gait)
+            if len(calls) == fail_at:
+                raise failure("timestep 4: synthetic stall")
+            return evaluate_gait(gait, cfg)
+
+        monkeypatch.setattr(opt, "evaluate_gait", fails_late)
+        with pytest.raises(failure) as info:
+            opt.optimize_gait(random_gait(5), DEFAULT_BOUNDS, small_cfg())
+        history = info.value.history
+        assert [rec.iteration for rec in history] == list(range(fail_at - 1))
+        assert [rec.gait for rec in history] == calls[:-1]
+        for rec in history:
+            assert (rec.loss, rec.displacement, rec.energy) == evaluate_gait(rec.gait, small_cfg())
+
 
 class TestSimulateGait:
     def test_cycle_closes_on_start_shape(self):
@@ -262,6 +284,44 @@ class TestSimulateGait:
         params = DissipationParams.uniform(1.38, 6, 0.3)
         traj = simulate_gait(REFERENCE_GAIT, sim, params)
         assert len(traj.shapes) == 31
+
+    def test_one_cycle_is_the_direct_integration(self):
+        for seed, epsilon in ((0, 0.05), (1, 0.1865), (2, 0.9)):
+            gait = random_gait(seed)
+            cfg = small_cfg(epsilon=epsilon)
+            traj = simulate_gait(gait, cfg.sim, cfg.params)
+            cycle = gait_to_shape_sequence(gait, cfg.sim.timesteps, cfg.sim.edges, cfg.sim.body_length)
+            direct = integrate_motion_trajectory(cycle + [cycle[0]], cfg.params)
+            assert len(traj.shapes) == len(direct.shapes)
+            for ours, ref in zip(traj.shapes, direct.shapes):
+                assert np.array_equal(ours.vertices, ref.vertices)
+                assert np.array_equal(ours.tangents, ref.tangents)
+            assert np.array_equal(traj.step_energies, direct.step_energies)
+
+    @pytest.mark.parametrize("cycles", [2, 5, 12])
+    def test_later_cycles_match_step_by_step_solve(self, cycles):
+        timesteps = 20
+        for seed, epsilon in ((3, 0.05), (4, 0.1865), (5, 0.5)):
+            gait = random_gait(seed)
+            cfg = small_cfg(epsilon=epsilon, timesteps=timesteps)
+            sim = SimConfig(timesteps, cfg.sim.edges, cfg.sim.body_length, cycles)
+            params = cfg.params
+            traj = simulate_gait(gait, sim, params)
+            cycle = gait_to_shape_sequence(gait, timesteps, sim.edges, sim.body_length)
+            solved = integrate_motion_trajectory(cycle * cycles + [cycle[0]], params)
+            assert len(traj.shapes) == cycles * timesteps + 1
+
+            gap = max(np.max(np.abs(ours.vertices - ref.vertices))
+                      for ours, ref in zip(traj.shapes, solved.shapes))
+            assert gap <= 1e-8 * sim.body_length * cycles
+            for prev, nxt in zip(traj.shapes[:-1], traj.shapes[1:]):
+                tol = 1e-10 * params.weights.sum() * nxt.polyline_length
+                assert np.linalg.norm(geometric_momentum(prev, nxt, params)) <= tol
+
+            per_cycle = traj.step_energies.reshape(cycles, timesteps)
+            for k in range(cycles):
+                assert np.array_equal(per_cycle[k], per_cycle[0])
+            assert np.allclose(traj.step_energies, solved.step_energies, rtol=1e-10, atol=0.0)
 
 
 class TestReportFile:

@@ -94,6 +94,21 @@ class TestGaitToShapeSequence:
         expected = curve_from_curvature(serpenoid_curvature(p, e.xi, stations), 1.0)
         assert np.max(np.abs(shapes[0].vertices - expected.vertices)) < 1e-12
 
+    def test_matches_per_shape_construction_bitwise(self):
+        from snakesim.geometry import curve_from_curvature
+        from snakesim.optimize import random_gait
+
+        for seed, (timesteps, edges, length) in enumerate([(50, 11, 0.92), (7, 3, 1.3), (13, 6, 0.5)] * 4):
+            e = random_gait(seed)
+            shapes = gait_to_shape_sequence(e, timesteps, edges, length)
+            stations = np.arange(edges) / edges
+            assert len(shapes) == timesteps
+            for j, shape in enumerate(shapes):
+                kappa = serpenoid_curvature(sample_gait(e, j / timesteps), e.xi, stations)
+                expected = curve_from_curvature(kappa, length)
+                assert np.array_equal(shape.vertices, expected.vertices)
+                assert np.array_equal(shape.tangents, expected.tangents)
+
     def test_zero_coefficients_all_timesteps_identical(self):
         e = GaitEllipse(sigma=1.0, xc=0.0, yc=0.0, theta=0.0, a=1e-14, xi=1.0)
         shapes = gait_to_shape_sequence(e, timesteps=7, edges=5, body_length=1.0)
