@@ -241,16 +241,16 @@ def cmd_optimize(args) -> int:
         return 0
 
     obj = _objective_config(cfg)
-    seed_loss, seed_disp, _ = evaluate_gait(seed_gait, obj)
     try:
         best, history = optimize_gait(seed_gait, DEFAULT_BOUNDS, obj, max_evaluations=args.max_evals)
     except (NoConvergence, DegenerateJacobian) as exc:
         # keep the evaluations that finished; main() still maps the failure to exit 3
         _emit(_out_path(cfg, "report.csv"), write_report_csv, exc.history)
         raise
-    best_rec = min(history, key=lambda r: r.loss)
+    # the search evaluates the seed first, so history[0] is the seed's score
+    seed_rec, best_rec = history[0], min(history, key=lambda r: r.loss)
     print(
-        f"seed loss {seed_loss:.6g} (displacement {seed_disp:.6f} m) -> "
+        f"seed loss {seed_rec.loss:.6g} (displacement {seed_rec.displacement:.6f} m) -> "
         f"best loss {best_rec.loss:.6g} (displacement {best_rec.displacement:.6f} m) "
         f"in {len(history)} evaluations"
     )

@@ -3,35 +3,28 @@
 Each vertex dissipates energy through an anisotropic local tensor
 D_k = w_k (I + (eps - 1) T_k T_k^T), cheap to move along the tangent and
 expensive across it.  A body at rest moves so that the geometric momentum of
-every step vanishes; positioning the next shape therefore reduces to a
-three-variable root-finding problem (rotation angle plus planar translation),
-solved here by a damped Newton iteration with an analytic Jacobian and a
-trust-region fallback for the rare steps where Newton stalls.
+every step vanishes.  Its translational rows are linear in the translation
+for a fixed rotation angle, with an invertible 2x2 matrix, so positioning the
+next shape reduces to one periodic scalar root in the angle: Newton with an
+analytic derivative, and a scan for a sign change plus a bracketed refinement
+for the rare steps where Newton stalls.
 
 Shapes are (N, 2) vertex and tangent arrays, the tensors are 2x2, and the
 momentum is the 3-vector (rotational, x, y), with the scalar cross product
-a_x b_y - a_y b_x for the rotational part.  The residual-and-Jacobian kernel
-evaluates the three Jacobian columns (angle, bx, by) in one pass.  A
-non-finite residual never counts as converged.
+a_x b_y - a_y b_x for the rotational part.  `_momentum` is the reference
+residual that accepts every step.  A non-finite residual never counts as
+converged.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root as scipy_root
 
-from .errors import (
-    DegenerateJacobian,
-    FileFormatError,
-    InvalidAnisotropy,
-    InvalidWeight,
-    NoConvergence,
-    ShapeMismatch,
-)
+from .errors import FileFormatError, InvalidAnisotropy, InvalidWeight, NoConvergence, ShapeMismatch
 from .geometry import PositionedShape, RigidMotion, apply_rigid_motion, center_of_mass, rigid_registration
 
 __all__ = [
@@ -52,7 +45,6 @@ __all__ = [
 
 RESIDUAL_RTOL = 1e-10
 _POLISH_FACTOR = 1e-4
-_MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -173,77 +165,142 @@ def geometric_momentum(prev: PositionedShape, nxt: PositionedShape, params: Diss
     )
 
 
-def _alignment_seed(prev: PositionedShape, nxt: PositionedShape, weights) -> np.ndarray:
-    """Weighted planar least-squares registration of `nxt` onto `prev`, as (angle, bx, by).
-
-    Used as the default Newton seed: it is equivariant under rigid motions of
-    `prev`, which keeps the solver in the basin of the physical root no matter
-    where the previous shape sits in the world.
-    """
-    motion = rigid_registration(nxt.vertices, prev.vertices, weights)
-    return np.array([motion.angle, motion.translation[0], motion.translation[1]])
+_XY = np.array([1.0, 1j])  # (N, 2) points @ _XY = the complex numbers x + iy
 
 
-# (x, y) -> (-y, x) is the counter-clockwise quarter turn, written as a reversal and a sign flip
-_QUARTER_TURN = np.array([-1.0, 1.0])
+class _AngleEquation:
+    """The step momentum as one equation g(angle) = 0.
 
-
-class _StepProblem:
-    """Momentum residual and its Jacobian as functions of (angle, bx, by).
-
-    `residual` moves the next shape and evaluates `_momentum`, the reference
-    the one-pass kernel `residual_and_jacobian` is checked against.
+    Complex notation: the point (x, y) is x + iy, the cross product a x b is
+    Im(conj(a) b), and D_k d = beta_k d + gamma_k t_k^2 conj(d) with
+    beta = w (1 + eps) / 2 and gamma = w (eps - 1) / 2.  Points are taken
+    about the weighted centroids of `prev` (P) and of `nxt` in its own frame
+    (V), so the beta-weighted sums of P and V vanish; at the angle theta,
+    r = e^{i theta}, the moved vertices are r V + b and the tangents r u.
+    The translational rows 2 B b + H conj(b) + K = 0 are linear in b, and
+    |H| <= sum(w) (1 - eps) < 2 B = sum(w) (1 + eps), so b(theta) is unique.
+    With b = b(theta) they vanish and the rotational row no longer depends
+    on the origin: g(theta) is the momentum's rotational component.  Twelve
+    weighted sums, computed once, make each evaluation a few dozen scalar
+    operations.
     """
 
     def __init__(self, prev: PositionedShape, nxt: PositionedShape, params: DissipationParams):
-        self.nxt = nxt
-        self.w = params.weights
-        self.eps = params.epsilon
-        n = prev.num_vertices
-        self.p = prev.vertices
-        self.s = prev.tangents
-        # next-shape vertices and tangents stacked, so one product rotates both
-        self.q_u_hat = np.concatenate([nxt.vertices, nxt.tangents])
-        self.wk = self.w * (self.eps - 1.0)
-        # rows: delta, then d(delta) along angle, bx, by; the bx and by rows are
-        # the unit translations and, like D_prev applied to them, independent of x
-        self.rows = np.zeros((4, n, 2))
-        self.rows[2:] = np.eye(2)[:, None, :]
-        self.dp_rows = np.zeros((4, n, 2))
-        self.dp_rows[2:] = (
-            self.w[:, None] * self.rows[2:] + (self.wk * self.s.T)[:, :, None] * self.s
+        w, eps = params.weights, params.epsilon
+        total = float(w.sum())
+        p, v = prev.vertices @ _XY, nxt.vertices @ _XY
+        self.p_bar, self.v_bar = complex(w @ p) / total, complex(w @ v) / total
+        # the pairwise products of the columns 1, conj(V), conj(P), weighted by
+        # gamma s^2 (prev tangents) and gamma u^2 (next tangents), give every sum
+        cols = np.empty((len(w), 3), dtype=complex)
+        cols[:, 0] = 1.0
+        np.conjugate(v - self.v_bar, out=cols[:, 1])
+        np.conjugate(p - self.p_bar, out=cols[:, 2])
+        t2 = np.stack([prev.tangents, nxt.tangents]) @ _XY
+        t2 *= t2
+        t2 *= 0.5 * (eps - 1.0) * w
+        prev_sums, next_sums = ((t2[:, None, :] * cols.T) @ cols).tolist()
+        (self.s2, self.s2v, self.s2p), (_, self.s2vv, self.s2vp), _ = prev_sums
+        (self.u2, self.u2v, self.u2p), _, (_, self.u2pv, self.u2pp) = next_sums
+        self.p1 = 0.5 * (1.0 + eps) * complex(np.vdot(cols[:, 2], w * cols[:, 1]))
+        self.two_b = total * (1.0 + eps)
+
+    def __call__(self, theta: float) -> tuple[float, float, complex]:
+        """g(theta), g'(theta) taken along b(theta), and the world translation."""
+        r = complex(math.cos(theta), math.sin(theta))
+        rc, r2, two_b = r.conjugate(), r * r, self.two_b
+        h = self.s2 + r2 * self.u2
+        det = two_b * two_b - (h.real * h.real + h.imag * h.imag)
+        k = rc * self.s2v - self.s2p + r * self.u2v - r2 * self.u2p
+        bc = ((h * k.conjugate() - two_b * k) / det).conjugate()
+        # rotational row g = Im(conj(r) P1) - Im(x) / 2, P1 = sum(beta conj(V) P), x its gamma terms
+        x = (
+            rc * (rc * self.s2vv + 2.0 * bc * self.s2v - self.s2vp)
+            + bc * (bc * self.s2 - self.s2p)
+            + r * self.u2pv
+            + r2 * (bc * self.u2p - self.u2pp)
         )
+        # b'(theta) solves the same 2x2 system with right-hand side -(H' conj(b) + K')
+        c = -2j * r2 * self.u2 * bc - 1j * (r * self.u2v - rc * self.s2v - 2.0 * r2 * self.u2p)
+        dbc = ((two_b * c - h * c.conjugate()) / det).conjugate()
+        dx = (
+            rc * (-2j * rc * self.s2vv + 2.0 * (dbc - 1j * bc) * self.s2v + 1j * self.s2vp)
+            + dbc * (2.0 * bc * self.s2 - self.s2p)
+            + 1j * r * self.u2pv
+            + r2 * ((2j * bc + dbc) * self.u2p - 2j * self.u2pp)
+        )
+        rp1 = rc * self.p1
+        return rp1.imag - 0.5 * x.imag, -rp1.real - 0.5 * dx.imag, bc.conjugate() + self.p_bar - r * self.v_bar
 
-    def residual(self, x):
-        moved = apply_rigid_motion(RigidMotion(x[0], x[1:]), self.nxt)
-        return _momentum(self.w, self.eps, self.p, self.s, moved.vertices, moved.tangents)
 
-    def residual_and_jacobian(self, x):
-        w, wk, p, s = self.w[:, None], self.wk, self.p, self.s
-        n = len(p)
-        c, sn = math.cos(x[0]), math.sin(x[0])
-        v_u = self.q_u_hat @ np.array([[c, sn], [-sn, c]])
-        v, u = v_u[:n], v_u[n:]
-        q = v + x[1:]
+# Newton is trusted for steps up to an eighth of a turn; the scan takes over beyond
+_MAX_NEWTON_STEP = math.pi / 8
+_SCAN_INTERVALS = 32
 
-        d = self.rows.copy()
-        d[0] = q - p
-        d[1] = v[:, ::-1] * _QUARTER_TURN
-        # D_prev and D_next applied to every row; D_next also turns with the angle
-        dp = self.dp_rows.copy()
-        dp[:2] = w * d[:2] + (wk * (s * d[:2]).sum(axis=2))[..., None] * s
-        u_d = (u * d).sum(axis=2)
-        e = w * d + (wk * u_d)[..., None] * u
-        du = u[:, ::-1] * _QUARTER_TURN
-        e[1] += wk[:, None] * ((du * d[0]).sum(axis=1)[:, None] * u + u_d[0][:, None] * du)
 
-        # row 0 is the momentum (angle, x, y), rows 1-3 its derivatives
-        rot = _cross(q, dp) + _cross(p, e)
-        rot[1:] += _cross(d[1:], dp[0])
-        m = np.empty((4, 3))
-        m[:, 0] = -0.5 * rot.sum(axis=1)
-        m[:, 1:] = -0.25 * (dp + e).sum(axis=1)
-        return m[0], m[1:].T
+def _solve_angle(equation: _AngleEquation, seed: float, accept_tol, polish_tol, max_iterations: int):
+    """Root of g near `seed`; returns (angle, iterations).
+
+    Newton runs from `seed` while each step is at most `_MAX_NEWTON_STEP` and
+    shrinks |g|, down to `polish_tol`.  If it stops above `accept_tol`, g is
+    sampled alternately on either side of `seed` in steps of one of
+    `_SCAN_INTERVALS` equal intervals of the full turn.  The first interval
+    where g changes sign, the one nearest `seed` (the positive side first),
+    is refined by Newton kept inside the shrinking bracket; the midpoint
+    replaces a step that leaves it or follows one that did not halve |g|.
+    Every evaluation of g after the one at `seed` counts against
+    `max_iterations`.
+    """
+    theta, iterations = seed, 0
+    g, dg, _ = equation(seed)
+    g_seed = g
+    while not abs(g) <= polish_tol and iterations < max_iterations:
+        step = -g / dg if dg else math.inf
+        if not abs(step) <= _MAX_NEWTON_STEP:
+            break
+        iterations += 1
+        g_new, dg_new, _ = equation(theta + step)
+        if not abs(g_new) < abs(g):
+            break
+        theta, g, dg = theta + step, g_new, dg_new
+    if abs(g) <= accept_tol:
+        return theta, iterations
+
+    width = 2.0 * math.pi / _SCAN_INTERVALS
+    ends = {1.0: (seed, g_seed), -1.0: (seed, g_seed)}
+    for j in range(2, _SCAN_INTERVALS + 2):
+        if iterations >= max_iterations:
+            return theta, iterations
+        side = 1.0 if j % 2 == 0 else -1.0
+        near, g_near = ends[side]
+        far = seed + side * (j // 2) * width
+        g_far = equation(far)[0]
+        iterations += 1
+        if g_near * g_far <= 0.0:
+            break
+        ends[side] = (far, g_far)
+    else:
+        return theta, iterations
+
+    (lo, g_lo), (hi, _) = sorted([(near, g_near), (far, g_far)])
+    last = math.inf
+    theta = far if g_far == 0.0 else 0.5 * (lo + hi)
+    while iterations < max_iterations:
+        g, dg, _ = equation(theta)
+        iterations += 1
+        if abs(g) <= polish_tol:
+            break
+        if (g < 0.0) == (g_lo < 0.0):
+            lo = theta
+        else:
+            hi = theta
+        nxt = theta - g / dg if dg else lo
+        if not lo < nxt < hi or abs(g) > 0.5 * abs(last):
+            nxt = 0.5 * (lo + hi)
+        if nxt in (lo, hi):
+            break
+        theta, last = nxt, g
+    return theta, iterations
 
 
 def position_step(
@@ -256,106 +313,45 @@ def position_step(
 ) -> StepSolution:
     """Rigidly place `next_shape` so the step momentum from `prev` vanishes.
 
-    The residual is driven below tol * (sum of weights) * body length; once
-    there, extra Newton steps polish it toward machine precision while they
-    keep paying off.  Without an explicit guess the iteration starts from the
-    weighted rigid registration of `next_shape` onto `prev`.
+    For a fixed rotation angle the translation follows in closed form (see
+    `_AngleEquation`), so the step is a scalar root in the angle.  The solve
+    starts from the angle of `guess`; its translation is not used.  Without
+    a guess it starts from the angle of the weighted rigid registration of
+    `next_shape` onto `prev`, which is equivariant under rigid motions of
+    `prev` and lies in the basin of the physical root.  The root taken is
+    the one Newton reaches from that angle, or else the one in the
+    sign-change interval of g nearest it (`_solve_angle`).  The placed shape
+    is accepted when its full momentum 3-vector is at most
+    tol * (sum of weights) * body length.
     """
     _check_pair(prev, next_shape, params)
-    problem = _StepProblem(prev, next_shape, params)
-    scale = float(params.weights.sum()) * max(next_shape.polyline_length, 1e-300)
-    accept_tol = tol * scale
-    polish_tol = _POLISH_FACTOR * accept_tol
-
+    equation = _AngleEquation(prev, next_shape, params)
+    accept_tol = tol * float(params.weights.sum()) * max(next_shape.polyline_length, 1e-300)
     if guess is None:
-        x = _alignment_seed(prev, next_shape, params.weights)
+        seed = rigid_registration(next_shape.vertices, prev.vertices, params.weights).angle
     else:
-        x = np.array([guess.angle, guess.translation[0], guess.translation[1]])
+        seed = float(guess.angle)
+    if not math.isfinite(seed):
+        raise NoConvergence(f"seed angle {seed} is not finite", residual=np.full(3, np.nan), iterations=0)
 
-    x, residual, norm, iterations, reason = _damped_newton(
-        problem, x, accept_tol, polish_tol, max_iterations
+    theta, iterations = _solve_angle(
+        equation, seed, accept_tol, _POLISH_FACTOR * accept_tol, max_iterations
     )
-    if reason not in ("budget", "nonfinite") and norm > accept_tol:
-        # Newton stalled in a local minimum of the residual norm (it happens
-        # for violent shape changes, e.g. tightly coiled gaits).  A trust
-        # region search escapes those reliably; seeds are tried in a fixed
-        # order so the solve stays deterministic even when the momentum
-        # equation has several roots.
-        rescue_seeds = [x, _alignment_seed(prev, next_shape, params.weights), np.zeros(3)]
-        for x0 in rescue_seeds:
-            found = scipy_root(
-                problem.residual_and_jacobian,
-                x0,
-                jac=True,
-                method="hybr",
-                options={"xtol": 1e-12, "maxfev": 500},
-            )
-            iterations += int(found.nfev)
-            rx, rres, rnorm, extra, _ = _damped_newton(
-                problem, np.asarray(found.x, dtype=float), accept_tol, polish_tol, 10
-            )
-            iterations += extra
-            if rnorm < norm:
-                x, residual, norm = rx, rres, rnorm
-            if norm <= accept_tol:
-                break
+    b = equation(theta)[2]
+    motion = RigidMotion(theta, np.array([b.real, b.imag]))
+    positioned = apply_rigid_motion(motion, next_shape)
+    residual = _momentum(
+        params.weights, params.epsilon, prev.vertices, prev.tangents, positioned.vertices, positioned.tangents
+    )
+    norm = float(np.linalg.norm(residual))
     if not norm <= accept_tol:  # true for a NaN norm as well
-        if reason == "degenerate":
-            raise DegenerateJacobian(
-                f"singular momentum Jacobian (|residual| = {norm:.3e}) "
-                f"after {iterations} iterations"
-            )
         raise NoConvergence(
             f"|momentum| = {norm:.3e} above tolerance {accept_tol:.3e} "
             f"after {iterations} iterations",
             residual=residual,
             iterations=iterations,
         )
-    motion = RigidMotion(x[0], x[1:])
-    return StepSolution(motion, apply_rigid_motion(motion, next_shape), residual, iterations)
-
-
-def _damped_newton(problem, x, accept_tol, polish_tol, max_iterations):
-    """Backtracking Newton on the momentum residual.
-
-    Returns (x, residual, |residual|, iterations, reason) with reason one of
-    "converged" (below the polish target), "budget" (max_iterations spent),
-    "stalled" (no decreasing step found), "degenerate" (unusable step),
-    "nonfinite" (the starting residual is NaN or infinite).  Steps only ever
-    accept a smaller norm, so a finite start stays finite.
-    """
-    residual, jac = problem.residual_and_jacobian(x)
-    norm = float(np.linalg.norm(residual))
-    iterations = 0
-    if not np.isfinite(norm):
-        return x, residual, norm, iterations, "nonfinite"
-    reason = "converged"
-    while norm > polish_tol:
-        if iterations >= max_iterations:
-            reason = "budget"
-            break
-        iterations += 1
-        try:
-            step = np.linalg.solve(jac, -residual)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -residual, rcond=None)[0]
-        if not np.all(np.isfinite(step)) or not np.any(step):
-            reason = "degenerate"
-            break
-        # backtracking: halve the step until the residual actually decreases
-        factor = 1.0
-        for _ in range(_MAX_HALVINGS):
-            candidate = x + factor * step
-            cand_res, cand_jac = problem.residual_and_jacobian(candidate)
-            cand_norm = float(np.linalg.norm(cand_res))
-            if cand_norm < norm:
-                x, residual, jac, norm = candidate, cand_res, cand_jac, cand_norm
-                break
-            factor *= 0.5
-        else:
-            reason = "stalled"
-            break
-    return x, residual, norm, iterations, reason
+    return StepSolution(motion, positioned, residual, iterations)
 
 
 def integrate_motion_trajectory(shapes: list[PositionedShape], params: DissipationParams) -> Trajectory:
@@ -376,8 +372,9 @@ def integrate_motion_trajectory(shapes: list[PositionedShape], params: Dissipati
     for t in range(1, len(shapes)):
         try:
             solution = position_step(positioned[-1], shapes[t], params, guess=guess)
-        except (NoConvergence, DegenerateJacobian) as exc:
-            raise type(exc)(f"timestep {t}: {exc}") from exc
+        except NoConvergence as exc:
+            exc.args = (f"timestep {t}: {exc}",)  # keeps residual and iterations
+            raise
         positioned.append(solution.positioned)
         energies[t - 1] = step_energy(positioned[-2], positioned[-1], params)
         guess = solution.motion

@@ -39,7 +39,7 @@ class NoConvergence(SnakesimError):
 
 
 class DegenerateJacobian(SnakesimError):
-    """The 3x3 momentum Jacobian is singular beyond rescue by damping."""
+    """A step's momentum equation has no usable derivative (the angle solve reports NoConvergence instead)."""
 
 
 class InconsistentMarkerCount(SnakesimError):

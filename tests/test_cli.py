@@ -193,6 +193,29 @@ class TestOptimize:
         assert [rec.gait for rec in history] == calls[:-1]
         assert not (out / "gait_optimized.txt").exists()
 
+    def test_seed_is_simulated_once(self, tmp_path, capsys, monkeypatch):
+        import snakesim.cli as cli
+        import snakesim.optimize as opt
+
+        calls = []
+        evaluate = opt.evaluate_gait
+
+        def counted(gait, cfg):
+            calls.append(gait)
+            return evaluate(gait, cfg)
+
+        monkeypatch.setattr(opt, "evaluate_gait", counted)
+        monkeypatch.setattr(cli, "evaluate_gait", counted)
+        out = tmp_path / "run"
+        code, stdout, _ = run(
+            capsys, "optimize", "--seed", "3", "--timesteps", "10", "--edges", "5",
+            "--max-evals", "5", "--out", str(out),
+        )
+        assert code == 0
+        history = read_report_csv(out / "report.csv")
+        assert len(calls) == len(history)
+        assert f"seed loss {history[0].loss:.6g} (displacement {history[0].displacement:.6f} m)" in stdout
+
     def test_c_sweep_emits_grid_table(self, tmp_path, capsys):
         out = tmp_path / "run"
         code, _, _ = run(

@@ -35,6 +35,11 @@ from snakesim.shapespace import GaitEllipse, gait_to_shape_sequence
 
 # circle of radius 3 in the coefficient plane: the plain traveling-wave gait
 REFERENCE_GAIT = GaitEllipse(sigma=1.0, xc=0.0, yc=0.0, theta=0.0, a=3.0, xi=1.0)
+# outside DEFAULT_BOUNDS; played in 4 timesteps, each step turns the body by 0.3-0.9 rad
+COARSE_GAIT = GaitEllipse(
+    sigma=0.6982090874995195, xc=2.5306626580087217, yc=2.3265284672162814,
+    theta=0.17953936059562067, a=13.262084647248928, xi=0.8920442003407526,
+)
 
 
 def reference_shapes(timesteps=24, edges=8, body_length=0.92, closed=True):
@@ -279,8 +284,14 @@ class TestPositionStep:
         with pytest.raises(NoConvergence):
             position_step(shapes[0], shapes[1], params, guess=RigidMotion(np.nan, np.zeros(2)))
 
-    def test_planar_kernel_matches_reference_residual(self):
-        from snakesim.dynamics import _StepProblem
+    def test_infinite_guess_angle_is_not_converged(self):
+        shapes = reference_shapes(timesteps=8, edges=6)
+        params = DissipationParams.uniform(1.38, 7, 0.2)
+        with pytest.raises(NoConvergence):
+            position_step(shapes[0], shapes[1], params, guess=RigidMotion(np.inf, np.zeros(2)))
+
+    def test_angle_equation_matches_reference_residual(self):
+        from snakesim.dynamics import _AngleEquation, _momentum
 
         rng = np.random.default_rng(29)
         for _ in range(8):
@@ -295,30 +306,74 @@ class TestPositionStep:
             ]
             weights = rng.uniform(0.1, 2.0, size=edges + 1)
             for eps in (0.05, 0.1865, 1.0):
-                problem = _StepProblem(shapes[0], shapes[1], DissipationParams(weights, eps))
+                equation = _AngleEquation(shapes[0], shapes[1], DissipationParams(weights, eps))
                 for _ in range(5):
-                    x = rng.normal(scale=[2.0, 1.0, 1.0])
-                    kernel = problem.residual_and_jacobian(x)[0]
-                    reference = problem.residual(x)
-                    assert np.max(np.abs(kernel - reference)) <= 1e-14 * weights.sum() * length
+                    theta = rng.normal(scale=[2.0, 1.0, 1.0])[0]
+                    g, _, b = equation(theta)
+                    moved = apply_rigid_motion(RigidMotion(theta, np.array([b.real, b.imag])), shapes[1])
+                    reference = _momentum(
+                        weights, eps, shapes[0].vertices, shapes[0].tangents, moved.vertices, moved.tangents
+                    )
+                    # g is the rotational row; b(theta) zeroes the translational rows
+                    reduced = np.array([g, 0.0, 0.0])
+                    assert np.max(np.abs(reduced - reference)) <= 1e-14 * weights.sum() * length
 
-    def test_jacobian_matches_finite_differences(self):
-        from snakesim.dynamics import _StepProblem
+    def test_angle_derivative_matches_finite_differences(self):
+        from snakesim.dynamics import _AngleEquation
 
         rng = np.random.default_rng(23)
-        shapes = reference_shapes(timesteps=10, edges=7)
-        params = DissipationParams.uniform(1.38, 8, 0.25)
-        problem = _StepProblem(shapes[0], shapes[1], params)
-        h = 1e-7 * 0.92  # finite-difference step tied to the body length
+        h = 1e-6
         for _ in range(10):
-            x = rng.normal(scale=0.5, size=3)
-            _, jac = problem.residual_and_jacobian(x)
-            fd = np.empty((3, 3))
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = h
-                fd[:, j] = (problem.residual(x + e) - problem.residual(x - e)) / (2 * h)
-            assert np.max(np.abs(jac - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+            edges = int(rng.integers(2, 12))
+            length = rng.uniform(0.2, 2.0)
+            shapes = [
+                apply_rigid_motion(
+                    RigidMotion(rng.uniform(-np.pi, np.pi), rng.normal(size=2)),
+                    curve_from_curvature(rng.normal(scale=4.0, size=edges), length),
+                )
+                for _ in range(2)
+            ]
+            weights = rng.uniform(0.1, 2.0, size=edges + 1)
+            for eps in (0.05, 0.1865, 1.0):
+                equation = _AngleEquation(shapes[0], shapes[1], DissipationParams(weights, eps))
+                for theta in rng.uniform(-np.pi, np.pi, size=5):
+                    fd = (equation(theta + h)[0] - equation(theta - h)[0]) / (2 * h)
+                    assert abs(equation(theta)[1] - fd) <= 1e-7 * weights.sum() * length**2
+
+    def test_coarse_gait_step_that_newton_misses(self):
+        # 3D damped Newton and its trust-region rescue stalled at timestep 1 of
+        # this out-of-bounds gait with |momentum| 4.4e-4 after 136 iterations
+        from snakesim.optimize import SimConfig, simulate_gait
+
+        params = DissipationParams.uniform(1.38, 12, 0.1865)
+        traj = simulate_gait(COARSE_GAIT, SimConfig(timesteps=4), params)
+        for prev, nxt in zip(traj.shapes, traj.shapes[1:]):
+            mu = geometric_momentum(prev, nxt, params)
+            assert np.linalg.norm(mu) <= 1e-10 * params.weights.sum() * nxt.polyline_length
+
+    def test_root_nearest_the_seed_angle(self):
+        # g changes sign twice on this step; from any seed angle the step lands
+        # on the root nearest it, whether Newton reaches it or the scan does
+        from snakesim.dynamics import _AngleEquation
+
+        prev, nxt = gait_to_shape_sequence(COARSE_GAIT, 4, 11, 0.92)[:2]
+        params = DissipationParams.uniform(1.38, 12, 0.1865)
+        equation = _AngleEquation(prev, nxt, params)
+        grid = np.linspace(0.0, 2 * np.pi, 4097)
+        g = np.array([equation(theta)[0] for theta in grid])
+        crossing = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
+        roots = grid[crossing] - g[crossing] * (grid[1] - grid[0]) / (g[crossing + 1] - g[crossing])
+        assert len(roots) == 2
+
+        def distance(a, b):
+            return np.abs((np.asarray(a) - b + np.pi) % (2 * np.pi) - np.pi)
+
+        for seed in np.linspace(-np.pi, np.pi, 48, endpoint=False):
+            to_roots = distance(roots, seed)
+            if abs(to_roots[0] - to_roots[1]) < 0.2:
+                continue  # about equally far from both roots
+            sol = position_step(prev, nxt, params, guess=RigidMotion(seed, np.array([9.0, -9.0])))
+            assert distance(sol.motion.angle, roots[np.argmin(to_roots)]) < 1e-3
 
 
 class TestIntegrateMotionTrajectory:
@@ -397,6 +452,22 @@ class TestIntegrateMotionTrajectory:
         params = DissipationParams.uniform(1.38, 7, 0.3)
         with pytest.raises(NoConvergence, match="timestep 1"):
             dyn.integrate_motion_trajectory(shapes, params)
+
+    def test_failure_keeps_residual_and_iterations(self, monkeypatch):
+        import snakesim.dynamics as dyn
+
+        residual = np.array([1e-3, -2e-4, 5e-5])
+
+        def always_fails(*args, **kwargs):
+            raise NoConvergence("synthetic failure", residual=residual, iterations=7)
+
+        monkeypatch.setattr(dyn, "position_step", always_fails)
+        shapes = reference_shapes(timesteps=8, edges=6)
+        params = DissipationParams.uniform(1.38, 7, 0.3)
+        with pytest.raises(NoConvergence) as info:
+            dyn.integrate_motion_trajectory(shapes, params)
+        assert info.value.iterations == 7
+        assert np.array_equal(info.value.residual, residual)
 
 
 class TestTrajectoryFiles:
