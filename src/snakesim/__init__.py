@@ -21,7 +21,6 @@ from .errors import (
     InvalidWeight,
     NoConvergence,
     NonFiniteLoss,
-    NonMonotoneWarning,
     NonPositiveDisplacement,
     NonPositiveDuration,
     NonPositiveInput,

@@ -36,7 +36,6 @@ from .optimize import (
     DISSIPATION_COEFFICIENT_GRID,
     ObjectiveConfig,
     SimConfig,
-    evaluate_gait,
     optimize_gait,
     random_gait,
     simulate_gait,
@@ -206,10 +205,11 @@ def _objective_config(cfg: RunConfig, c=None, cycles=1) -> ObjectiveConfig:
 def _sweep_worker(task):
     c, gait, cfg_fields, max_evals = task
     cfg = RunConfig(**cfg_fields)
-    best, _ = optimize_gait(gait, DEFAULT_BOUNDS, _objective_config(cfg, c=c),
-                            max_evaluations=max_evals)
-    _, displacement, energy = evaluate_gait(best, _objective_config(cfg, c=c))
-    return c, best, displacement, energy
+    best, history = optimize_gait(gait, DEFAULT_BOUNDS, _objective_config(cfg, c=c),
+                                  max_evaluations=max_evals)
+    # the record optimize_gait picked `best` from already holds its scores
+    record = min(history, key=lambda r: r.loss)
+    return c, best, record.displacement, record.energy
 
 
 def cmd_optimize(args) -> int:

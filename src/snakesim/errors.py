@@ -81,6 +81,3 @@ class NonFiniteLoss(SnakesimError):
 class FileFormatError(SnakesimError):
     """A data file does not match its expected format."""
 
-
-class NonMonotoneWarning(UserWarning):
-    """Sampled displacements were not monotone in the anisotropy ratio."""

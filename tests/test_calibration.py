@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,10 +26,11 @@ from snakesim.errors import (
     InconsistentMarkerCount,
     InvalidAnisotropy,
     InvalidWeight,
-    NonMonotoneWarning,
     ShapeMismatch,
 )
-from snakesim.shapespace import GaitEllipse, gait_to_shape_sequence
+from snakesim.geometry import curve_from_curvature
+from snakesim.optimize import random_gait
+from snakesim.shapespace import GaitEllipse, gait_to_shape_sequence, sample_gait, serpenoid_curvature
 
 BODY_LENGTH = 0.92
 TOTAL_MASS = 1.38
@@ -249,17 +253,36 @@ class TestFitAnisotropy:
             with pytest.raises(InvalidAnisotropy):
                 fit_anisotropy(mocap, params.weights, bounds=bounds)
 
-    def test_non_monotone_falls_back_to_rms_search(self, monkeypatch):
+    def test_turning_gait_with_non_monotone_displacement(self):
+        # A turning gait whose amplitude ramps over the recording: its final
+        # CoM displacement dips near 0.05 and is nearly flat from 0.10 to
+        # 0.14, so it matches the recorded value at more than one ratio and
+        # only the whole CoM curve tells them apart.
+        epsilon, edges, frames = 0.10148888202713702, 11, 61
+        gait = random_gait(955111941)
+        stations = np.arange(edges) / edges
+        shapes = []
+        for j in range(frames):
+            point = sample_gait(replace(gait, a=gait.a * (0.75 + 0.5 * j / (frames - 1))), j / 50)
+            shapes.append(curve_from_curvature(serpenoid_curvature(point, gait.xi, stations), BODY_LENGTH))
+        params = DissipationParams.uniform(TOTAL_MASS, edges + 1, epsilon)
+        traj = integrate_motion_trajectory(shapes, params)
+        mocap = mocap_from_shapes(traj.shapes, 0.02 * np.arange(frames))
+        fit = fit_anisotropy(mocap, params.weights)
+        assert abs(fit.epsilon - epsilon) < 1e-3
+
+    def test_rms_minimum_is_found_when_displacement_is_v_shaped(self, monkeypatch):
         import snakesim.calibration as cal
 
         def synthetic(mocap, weights, exp_curve, epsilon):
-            # RMS has its minimum at 0.3 while displacement is V-shaped: the
-            # monotonicity check must fail and hand over to the RMS search.
+            # RMS has its minimum at 0.3 while displacement is V-shaped about
+            # 0.4: the fit follows the RMS alone, without a warning.
             return (epsilon, (epsilon - 0.3) ** 2, 0.1 + abs(epsilon - 0.4)), None
 
         monkeypatch.setattr(cal, "_evaluate", synthetic)
         mocap, params = synthetic_mocap(0.3, timesteps=6, edges=4)
-        with pytest.warns(NonMonotoneWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = cal.fit_anisotropy(mocap, params.weights)
         assert abs(fit.epsilon - 0.3) < 1e-3
 

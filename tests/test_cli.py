@@ -194,7 +194,6 @@ class TestOptimize:
         assert not (out / "gait_optimized.txt").exists()
 
     def test_seed_is_simulated_once(self, tmp_path, capsys, monkeypatch):
-        import snakesim.cli as cli
         import snakesim.optimize as opt
 
         calls = []
@@ -205,7 +204,6 @@ class TestOptimize:
             return evaluate(gait, cfg)
 
         monkeypatch.setattr(opt, "evaluate_gait", counted)
-        monkeypatch.setattr(cli, "evaluate_gait", counted)
         out = tmp_path / "run"
         code, stdout, _ = run(
             capsys, "optimize", "--seed", "3", "--timesteps", "10", "--edges", "5",
@@ -228,6 +226,33 @@ class TestOptimize:
         for c, displacement, energy in rows:
             assert np.isfinite(displacement) and np.isfinite(energy)
             assert (out / f"gait_c{c:g}.txt").exists()
+
+    def test_c_sweep_simulates_each_evaluation_once(self, tmp_path, capsys, monkeypatch):
+        import snakesim.cli as cli
+        import snakesim.optimize as opt
+
+        # every evaluate_gait call runs one simulate_gait looked up in the
+        # optimize module, so this counts evaluate_gait calls under any name
+        simulations, recorded = [], []
+        simulate, search = opt.simulate_gait, cli.optimize_gait
+
+        def counted_simulate(*args):
+            simulations.append(args[0])
+            return simulate(*args)
+
+        def counted_search(*args, **kwargs):
+            best, history = search(*args, **kwargs)
+            recorded.extend(history)
+            return best, history
+
+        monkeypatch.setattr(opt, "simulate_gait", counted_simulate)
+        monkeypatch.setattr(cli, "optimize_gait", counted_search)
+        code, _, _ = run(
+            capsys, "optimize", "--seed", "3", "--timesteps", "8", "--edges", "5",
+            "--max-evals", "6", "--c-sweep", "--jobs", "1", "--out", str(tmp_path / "run"),
+        )
+        assert code == 0
+        assert len(simulations) == len(recorded)
 
     def test_c_sweep_parallel_matches_grid(self, tmp_path, capsys):
         out = tmp_path / "run"

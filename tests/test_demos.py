@@ -36,3 +36,15 @@ def test_ratio_analysis_writes_into_out(tmp_path):
     result = run_demo("ratio_analysis.py", "--out", str(tmp_path))
     assert result.returncode == 0, result.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["xi.csv", "xi.svg"]
+
+
+def test_anisotropy_sweep_writes_into_out(tmp_path):
+    result = run_demo("anisotropy_sweep.py", "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.svg"]
+
+
+def test_gait_search_writes_into_out(tmp_path):
+    result = run_demo("gait_search.py", "--evals", "20", "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report_c0.csv", "report_c2.5.csv"]
