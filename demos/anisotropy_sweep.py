@@ -19,7 +19,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--epsilons", type=float, nargs="+",
                     default=[0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0])
-    ap.add_argument("--out", default="demo_output/anisotropy_sweep")
+    ap.add_argument("--out", default="work/demos/anisotropy_sweep")
     args = ap.parse_args()
 
     out = Path(args.out)

@@ -22,7 +22,7 @@ def main():
     ap.add_argument("--epsilon", type=float, default=0.1865, help="ground-truth ratio")
     ap.add_argument("--noise", type=float, default=0.0, help="marker noise stdev [m]")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default="demo_output/calibration_roundtrip")
+    ap.add_argument("--out", default="work/demos/calibration_roundtrip")
     args = ap.parse_args()
 
     out = Path(args.out)

@@ -18,7 +18,7 @@ from snakesim.svgplot import plot_trajectory
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="demo_output/first_simulation")
+    ap.add_argument("--out", default="work/demos/first_simulation")
     args = ap.parse_args()
 
     out = Path(args.out)

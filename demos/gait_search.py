@@ -25,7 +25,7 @@ def main():
     ap.add_argument("--seed", type=int, default=21)
     ap.add_argument("--evals", type=int, default=300)
     ap.add_argument("--coefficients", type=float, nargs="+", default=[0.0, 2.5])
-    ap.add_argument("--out", default="demo_output/gait_search")
+    ap.add_argument("--out", default="work/demos/gait_search")
     args = ap.parse_args()
 
     out = Path(args.out)

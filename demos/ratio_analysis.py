@@ -32,7 +32,7 @@ CYCLE_SECONDS = 5.0
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="demo_output/ratio_analysis")
+    ap.add_argument("--out", default="work/demos/ratio_analysis")
     args = ap.parse_args()
 
     out = Path(args.out)

@@ -23,7 +23,8 @@ from .errors import (
     InvalidAnisotropy,
     InvalidWeight,
 )
-from .geometry import PositionedShape, _as_points, center_of_mass, tangents_from_vertices
+from .geometry import PositionedShape, _as_points, center_of_mass, shapes_from_vertices
+from .geometry import tangents_from_vertices  # noqa: F401 -- bench/workloads.py traces the shape layer here
 
 __all__ = [
     "MocapTrajectory",
@@ -129,7 +130,7 @@ def extract_shapes(mocap: MocapTrajectory, target_steps: int | None = None) -> l
     if target_steps is not None and target_steps < len(frames):
         idx = np.round(np.linspace(0, len(frames) - 1, target_steps)).astype(int)
         frames = frames[idx]
-    return [PositionedShape(frame, tangents_from_vertices(frame)) for frame in frames]
+    return shapes_from_vertices(frames)
 
 
 def resimulate(mocap: MocapTrajectory, params: DissipationParams) -> Trajectory:

@@ -30,7 +30,7 @@ from .dynamics import (
     write_step_energies_csv,
     write_trajectory_csv,
 )
-from .errors import DegenerateJacobian, NoConvergence, SnakesimError
+from .errors import NoConvergence, SnakesimError
 from .optimize import (
     DEFAULT_BOUNDS,
     DISSIPATION_COEFFICIENT_GRID,
@@ -243,7 +243,7 @@ def cmd_optimize(args) -> int:
     obj = _objective_config(cfg)
     try:
         best, history = optimize_gait(seed_gait, DEFAULT_BOUNDS, obj, max_evaluations=args.max_evals)
-    except (NoConvergence, DegenerateJacobian) as exc:
+    except NoConvergence as exc:
         # keep the evaluations that finished; main() still maps the failure to exit 3
         _emit(_out_path(cfg, "report.csv"), write_report_csv, exc.history)
         raise
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gait_file", nargs="?", help="seed gait file; omitted = random from --seed")
     p.add_argument("--max-evals", type=int, default=500, help="objective evaluation budget")
     p.add_argument("--c-sweep", action="store_true",
-                   help="optimize across the penalty grid and emit a summary table")
+                   help="optimize once per c in DISSIPATION_COEFFICIENT_GRID; writes c_sweep.csv")
     _add_common_flags(p)
     p.set_defaults(func=cmd_optimize)
 
@@ -514,7 +514,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NoConvergence, DegenerateJacobian) as exc:
+    except NoConvergence as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return 3
     except (SnakesimError, ValueError, OSError) as exc:

@@ -11,9 +11,9 @@ for the rare steps where Newton stalls.
 
 Shapes are (N, 2) vertex and tangent arrays, the tensors are 2x2, and the
 momentum is the 3-vector (rotational, x, y), with the scalar cross product
-a_x b_y - a_y b_x for the rotational part.  `_momentum` is the reference
-residual that accepts every step.  A non-finite residual never counts as
-converged.
+a_x b_y - a_y b_x for the rotational part.  `_momentum_and_energy` gives
+the reference residual that accepts every step and the step's energy in one
+pass.  A non-finite residual never counts as converged.
 """
 
 from __future__ import annotations
@@ -71,12 +71,13 @@ class DissipationParams:
 
 @dataclass(frozen=True)
 class StepSolution:
-    """Result of positioning one shape: the motion, the moved shape, and solver info."""
+    """Result of positioning one shape: the motion, the moved shape, its energy, and solver info."""
 
     motion: RigidMotion
     positioned: PositionedShape
     residual: np.ndarray
     iterations: int
+    energy: float
 
 
 @dataclass(frozen=True)
@@ -121,19 +122,14 @@ def _check_pair(prev: PositionedShape, nxt: PositionedShape, params: Dissipation
 
 def _apply_tensors(weights, epsilon, tangents, vectors):
     """Rows (D_k v_k) for the dissipation tensors defined by `tangents`."""
-    along = np.sum(tangents * vectors, axis=1, keepdims=True)
+    along = (tangents * vectors).sum(axis=1, keepdims=True)
     return weights[:, None] * (vectors + (epsilon - 1.0) * along * tangents)
 
 
 def step_energy(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams) -> float:
     """Energy dissipated by moving the vertices of `prev` to those of `nxt`."""
     _check_pair(prev, nxt, params)
-    delta = nxt.vertices - prev.vertices
-    avg = 0.5 * (
-        _apply_tensors(params.weights, params.epsilon, prev.tangents, delta)
-        + _apply_tensors(params.weights, params.epsilon, nxt.tangents, delta)
-    )
-    return 0.5 * float(np.sum(avg * delta))
+    return _momentum_and_energy(prev, nxt, params)[1]
 
 
 def total_energy(traj: Trajectory) -> float:
@@ -146,23 +142,23 @@ def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _momentum(weights, epsilon, p_prev, t_prev, p_next, t_next):
-    """Momentum 3-vector (rotational, x, y), with the -1/2 prefactor."""
+def _momentum_and_energy(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams):
+    """Momentum 3-vector (rotational, x, y), with the -1/2 prefactor, and the step energy."""
+    w, eps, p_prev, p_next = params.weights, params.epsilon, prev.vertices, nxt.vertices
     delta = p_next - p_prev
-    d_prev = _apply_tensors(weights, epsilon, t_prev, delta)
-    d_next = _apply_tensors(weights, epsilon, t_next, delta)
+    d_prev = _apply_tensors(w, eps, prev.tangents, delta)
+    d_next = _apply_tensors(w, eps, nxt.tangents, delta)
+    d_sum = d_prev + d_next
     mu = np.empty(3)
-    mu[0] = -0.5 * np.sum(_cross(p_next, d_prev) + _cross(p_prev, d_next))
-    mu[1:] = -0.25 * np.sum(d_prev + d_next, axis=0)
-    return mu
+    mu[0] = -0.5 * (_cross(p_next, d_prev) + _cross(p_prev, d_next)).sum()
+    mu[1:] = -0.25 * d_sum.sum(axis=0)
+    return mu, 0.25 * float((d_sum * delta).sum())
 
 
 def geometric_momentum(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams) -> np.ndarray:
     """3-vector (rotational, x, y) of the step momentum."""
     _check_pair(prev, nxt, params)
-    return _momentum(
-        params.weights, params.epsilon, prev.vertices, prev.tangents, nxt.vertices, nxt.tangents
-    )
+    return _momentum_and_energy(prev, nxt, params)[0]
 
 
 _XY = np.array([1.0, 1j])  # (N, 2) points @ _XY = the complex numbers x + iy
@@ -239,7 +235,7 @@ _SCAN_INTERVALS = 32
 
 
 def _solve_angle(equation: _AngleEquation, seed: float, accept_tol, polish_tol, max_iterations: int):
-    """Root of g near `seed`; returns (angle, iterations).
+    """Root of g near `seed`; returns (angle, iterations, the world translation there).
 
     Newton runs from `seed` while each step is at most `_MAX_NEWTON_STEP` and
     shrinks |g|, down to `polish_tol`.  If it stops above `accept_tol`, g is
@@ -249,28 +245,29 @@ def _solve_angle(equation: _AngleEquation, seed: float, accept_tol, polish_tol, 
     is refined by Newton kept inside the shrinking bracket; the midpoint
     replaces a step that leaves it or follows one that did not halve |g|.
     Every evaluation of g after the one at `seed` counts against
-    `max_iterations`.
+    `max_iterations`; an angle that the limit left unevaluated is evaluated
+    once more, uncounted, for its translation.
     """
     theta, iterations = seed, 0
-    g, dg, _ = equation(seed)
+    g, dg, b = equation(seed)
     g_seed = g
     while not abs(g) <= polish_tol and iterations < max_iterations:
         step = -g / dg if dg else math.inf
         if not abs(step) <= _MAX_NEWTON_STEP:
             break
         iterations += 1
-        g_new, dg_new, _ = equation(theta + step)
+        g_new, dg_new, b_new = equation(theta + step)
         if not abs(g_new) < abs(g):
             break
-        theta, g, dg = theta + step, g_new, dg_new
+        theta, g, dg, b = theta + step, g_new, dg_new, b_new
     if abs(g) <= accept_tol:
-        return theta, iterations
+        return theta, iterations, b
 
     width = 2.0 * math.pi / _SCAN_INTERVALS
     ends = {1.0: (seed, g_seed), -1.0: (seed, g_seed)}
     for j in range(2, _SCAN_INTERVALS + 2):
         if iterations >= max_iterations:
-            return theta, iterations
+            return theta, iterations, b
         side = 1.0 if j % 2 == 0 else -1.0
         near, g_near = ends[side]
         far = seed + side * (j // 2) * width
@@ -280,13 +277,13 @@ def _solve_angle(equation: _AngleEquation, seed: float, accept_tol, polish_tol, 
             break
         ends[side] = (far, g_far)
     else:
-        return theta, iterations
+        return theta, iterations, b
 
     (lo, g_lo), (hi, _) = sorted([(near, g_near), (far, g_far)])
     last = math.inf
-    theta = far if g_far == 0.0 else 0.5 * (lo + hi)
+    theta, b = (far if g_far == 0.0 else 0.5 * (lo + hi)), None
     while iterations < max_iterations:
-        g, dg, _ = equation(theta)
+        g, dg, b = equation(theta)
         iterations += 1
         if abs(g) <= polish_tol:
             break
@@ -299,8 +296,8 @@ def _solve_angle(equation: _AngleEquation, seed: float, accept_tol, polish_tol, 
             nxt = 0.5 * (lo + hi)
         if nxt in (lo, hi):
             break
-        theta, last = nxt, g
-    return theta, iterations
+        theta, last, b = nxt, g, None
+    return theta, iterations, equation(theta)[2] if b is None else b
 
 
 def position_step(
@@ -334,15 +331,12 @@ def position_step(
     if not math.isfinite(seed):
         raise NoConvergence(f"seed angle {seed} is not finite", residual=np.full(3, np.nan), iterations=0)
 
-    theta, iterations = _solve_angle(
+    theta, iterations, b = _solve_angle(
         equation, seed, accept_tol, _POLISH_FACTOR * accept_tol, max_iterations
     )
-    b = equation(theta)[2]
     motion = RigidMotion(theta, np.array([b.real, b.imag]))
     positioned = apply_rigid_motion(motion, next_shape)
-    residual = _momentum(
-        params.weights, params.epsilon, prev.vertices, prev.tangents, positioned.vertices, positioned.tangents
-    )
+    residual, energy = _momentum_and_energy(prev, positioned, params)
     norm = float(np.linalg.norm(residual))
     if not norm <= accept_tol:  # true for a NaN norm as well
         raise NoConvergence(
@@ -351,14 +345,14 @@ def position_step(
             residual=residual,
             iterations=iterations,
         )
-    return StepSolution(motion, positioned, residual, iterations)
+    return StepSolution(motion, positioned, residual, iterations, energy)
 
 
 def integrate_motion_trajectory(shapes: list[PositionedShape], params: DissipationParams) -> Trajectory:
     """Position a whole shape sequence by solving the momentum root at every step.
 
     The first shape is kept verbatim; each later solve is seeded with the
-    previous step's motion.
+    previous step's motion.  Each step's energy comes from its solve.
     """
     if not shapes:
         raise ShapeMismatch("need at least one shape to integrate")
@@ -376,7 +370,7 @@ def integrate_motion_trajectory(shapes: list[PositionedShape], params: Dissipati
             exc.args = (f"timestep {t}: {exc}",)  # keeps residual and iterations
             raise
         positioned.append(solution.positioned)
-        energies[t - 1] = step_energy(positioned[-2], positioned[-1], params)
+        energies[t - 1] = solution.energy
         guess = solution.motion
     return Trajectory(positioned, energies, params)
 

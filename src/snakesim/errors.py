@@ -38,8 +38,7 @@ class NoConvergence(SnakesimError):
         self.iterations = iterations
 
 
-class DegenerateJacobian(SnakesimError):
-    """A step's momentum equation has no usable derivative (the angle solve reports NoConvergence instead)."""
+DegenerateJacobian = NoConvergence  # old name, kept for imports: every failed step raises NoConvergence
 
 
 class InconsistentMarkerCount(SnakesimError):

@@ -82,9 +82,11 @@ class PositionedShape:
             raise ShapeMismatch(
                 f"tangent array shape {tangs.shape} does not match vertices {verts.shape}"
             )
-        norms = np.linalg.norm(tangs, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ShapeMismatch("tangents must have unit length")
+        if not np.isfinite(verts).all():
+            raise ShapeMismatch("vertices must be finite")
+        # |t| within 1e-9 of 1 is |t|^2 within 2e-9 of 1; NaN fails the test as well
+        if not np.abs(tangs[:, 0] * tangs[:, 0] + tangs[:, 1] * tangs[:, 1] - 1.0).max() <= 2e-9:
+            raise ShapeMismatch("tangents must be finite and have unit length")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "tangents", tangs)
 
@@ -99,7 +101,8 @@ class PositionedShape:
 
     @property
     def polyline_length(self) -> float:
-        return float(np.sum(np.linalg.norm(np.diff(self.vertices, axis=0), axis=1)))
+        edges = self.vertices[1:] - self.vertices[:-1]
+        return float(np.sqrt(edges[:, 0] * edges[:, 0] + edges[:, 1] * edges[:, 1]).sum())
 
 
 def tangents_from_vertices(vertices) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dynamics import DissipationParams, Trajectory, integrate_motion_trajectory, total_energy
-from .errors import DegenerateJacobian, FileFormatError, NoConvergence, NonFiniteLoss, ShapeMismatch
+from .errors import FileFormatError, NoConvergence, NonFiniteLoss, ShapeMismatch
 from .geometry import PositionedShape, rigid_registration
 from .shapespace import GaitEllipse, gait_to_shape_sequence
 
@@ -207,8 +207,8 @@ def optimize_gait(
     evaluation.  The search stops when the simplex diameter falls below 1e-4
     in normalized coordinates or after `max_evaluations` objective calls.
     The returned gait never scores worse than the seed.  When a forward solve
-    fails, the NoConvergence or DegenerateJacobian it raises carries the
-    evaluations made before it as `history`.
+    fails, the NoConvergence it raises carries the evaluations made before it
+    as `history`.
     """
     lo, hi = bounds.as_arrays()
     x_seed = np.clip(_gait_vector(seed_gait), lo, hi)
@@ -235,7 +235,7 @@ def optimize_gait(
         gait = decode(u)
         try:
             loss, displacement, energy = evaluate_gait(gait, cfg)
-        except (NoConvergence, DegenerateJacobian) as exc:
+        except NoConvergence as exc:
             exc.history = list(history)
             raise
         if not np.isfinite(loss):

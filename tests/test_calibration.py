@@ -28,7 +28,7 @@ from snakesim.errors import (
     InvalidWeight,
     ShapeMismatch,
 )
-from snakesim.geometry import curve_from_curvature
+from snakesim.geometry import curve_from_curvature, tangents_from_vertices
 from snakesim.optimize import random_gait
 from snakesim.shapespace import GaitEllipse, gait_to_shape_sequence, sample_gait, serpenoid_curvature
 
@@ -62,6 +62,7 @@ class TestExtractShapes:
         for frame, shape in zip(mocap.frames, shapes):
             assert np.array_equal(shape.vertices[:, :2], frame)
             assert shape.vertices.shape == frame.shape
+            assert np.array_equal(shape.tangents, tangents_from_vertices(frame))
 
     def test_downsampling_keeps_endpoints(self):
         rng = np.random.default_rng(30)
@@ -71,6 +72,10 @@ class TestExtractShapes:
         assert len(shapes) == 50
         assert np.array_equal(shapes[0].vertices[:, :2], frames[0])
         assert np.array_equal(shapes[-1].vertices[:, :2], frames[-1])
+        kept = frames[np.round(np.linspace(0, 149, 50)).astype(int)]
+        for frame, shape in zip(kept, shapes):
+            assert np.array_equal(shape.vertices, frame)
+            assert np.array_equal(shape.tangents, tangents_from_vertices(frame))
 
     def test_single_marker_rejected(self):
         mocap = MocapTrajectory(np.arange(3.0), np.zeros((3, 1, 2)))

@@ -268,6 +268,9 @@ class TestPositionStep:
         for nxt in shapes[1:]:
             sol = position_step(prev, nxt, params)
             assert np.linalg.norm(sol.residual) <= 1e-10 * scale
+            # residual and energy come from one pass over the placed pair
+            assert np.array_equal(sol.residual, geometric_momentum(prev, sol.positioned, params))
+            assert sol.energy == step_energy(prev, sol.positioned, params)
             prev = sol.positioned
 
     def test_no_convergence_reports_residual_and_iterations(self):
@@ -291,7 +294,7 @@ class TestPositionStep:
             position_step(shapes[0], shapes[1], params, guess=RigidMotion(np.inf, np.zeros(2)))
 
     def test_angle_equation_matches_reference_residual(self):
-        from snakesim.dynamics import _AngleEquation, _momentum
+        from snakesim.dynamics import _AngleEquation
 
         rng = np.random.default_rng(29)
         for _ in range(8):
@@ -306,14 +309,13 @@ class TestPositionStep:
             ]
             weights = rng.uniform(0.1, 2.0, size=edges + 1)
             for eps in (0.05, 0.1865, 1.0):
-                equation = _AngleEquation(shapes[0], shapes[1], DissipationParams(weights, eps))
+                params = DissipationParams(weights, eps)
+                equation = _AngleEquation(shapes[0], shapes[1], params)
                 for _ in range(5):
                     theta = rng.normal(scale=[2.0, 1.0, 1.0])[0]
                     g, _, b = equation(theta)
                     moved = apply_rigid_motion(RigidMotion(theta, np.array([b.real, b.imag])), shapes[1])
-                    reference = _momentum(
-                        weights, eps, shapes[0].vertices, shapes[0].tangents, moved.vertices, moved.tangents
-                    )
+                    reference = geometric_momentum(shapes[0], moved, params)
                     # g is the rotational row; b(theta) zeroes the translational rows
                     reduced = np.array([g, 0.0, 0.0])
                     assert np.max(np.abs(reduced - reference)) <= 1e-14 * weights.sum() * length
@@ -350,6 +352,21 @@ class TestPositionStep:
         for prev, nxt in zip(traj.shapes, traj.shapes[1:]):
             mu = geometric_momentum(prev, nxt, params)
             assert np.linalg.norm(mu) <= 1e-10 * params.weights.sum() * nxt.polyline_length
+
+    def test_translation_is_evaluated_at_the_returned_angle(self):
+        # seeds and budgets that end in Newton, the scan, the bracketed refinement,
+        # and a budget that runs out before the refinement evaluates its next angle
+        from snakesim.dynamics import _AngleEquation, _solve_angle
+
+        prev, nxt = gait_to_shape_sequence(COARSE_GAIT, 4, 11, 0.92)[:2]
+        params = DissipationParams.uniform(1.38, 12, 0.1865)
+        equation = _AngleEquation(prev, nxt, params)
+        accept_tol = 1e-10 * params.weights.sum() * nxt.polyline_length
+        for seed in np.linspace(-np.pi, np.pi, 24, endpoint=False):
+            for budget in (1, 4, 8, 12, 20, 100):
+                theta, iterations, b = _solve_angle(equation, seed, accept_tol, 1e-4 * accept_tol, budget)
+                assert iterations <= budget
+                assert b == equation(theta)[2]
 
     def test_root_nearest_the_seed_angle(self):
         # g changes sign twice on this step; from any seed angle the step lands
@@ -398,6 +415,13 @@ class TestIntegrateMotionTrajectory:
             params = DissipationParams.uniform(1.38, 12, eps)
             displacements.append(integrate_motion_trajectory(shapes, params).net_displacement)
         assert all(a > b for a, b in zip(displacements, displacements[1:]))
+
+    def test_step_energies_are_those_of_consecutive_frames(self):
+        for eps in (0.05, 0.1865, 1.0):
+            params = DissipationParams.uniform(1.38, 9, eps)
+            traj = integrate_motion_trajectory(reference_shapes(timesteps=12, edges=8), params)
+            direct = [step_energy(p, q, params) for p, q in zip(traj.shapes, traj.shapes[1:])]
+            assert np.array_equal(traj.step_energies, direct)
 
     def test_first_shape_kept_verbatim(self):
         shapes = reference_shapes(timesteps=8, edges=6)

@@ -95,6 +95,17 @@ class TestTangents:
         with pytest.raises(ShapeMismatch):
             PositionedShape.from_vertices(verts)
 
+    def test_shape_rejects_non_finite_points_and_non_unit_tangents(self):
+        verts, unit = [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ShapeMismatch):
+                PositionedShape(verts, [[bad, 0.0], [1.0, 0.0]])
+            with pytest.raises(ShapeMismatch):
+                PositionedShape([[0.0, bad], [1.0, 0.0]], unit)
+        with pytest.raises(ShapeMismatch):
+            PositionedShape(verts, [[1.0 + 2e-9, 0.0], [1.0, 0.0]])
+        PositionedShape(verts, [[1.0 + 5e-10, 0.0], [1.0, 0.0]])  # within the 1e-9 bound
+
     def test_stacked_polylines_match_one_at_a_time(self):
         rng = np.random.default_rng(7)
         stack = np.cumsum(rng.normal(size=(5, 9, 2)), axis=1)

@@ -245,7 +245,8 @@ class TestOptimizeGait:
         _, history = optimize_gait(random_gait(9), DEFAULT_BOUNDS, cfg, max_evaluations=25)
         assert len(history) <= 25 + 1  # scipy may finish the in-flight iteration
 
-    @pytest.mark.parametrize("failure", [NoConvergence, DegenerateJacobian])
+    # DegenerateJacobian is an alias of NoConvergence, so the ids name the spelling used
+    @pytest.mark.parametrize("failure", [NoConvergence, DegenerateJacobian], ids=["NoConvergence", "DegenerateJacobian"])
     def test_solver_failure_keeps_history(self, monkeypatch, failure):
         import snakesim.optimize as opt
 
