@@ -173,11 +173,10 @@ def rms_error(a: ComCurve, b: ComCurve) -> float:
     return float(np.sqrt(np.mean(np.sum((a.positions - b.positions) ** 2, axis=1))))
 
 
-def _evaluate(mocap, weights, exp_curve, epsilon):
+def _evaluate(shapes, weights, exp_curve, epsilon):
     """((epsilon, rms, final displacement), resimulated CoM curve) for one ratio."""
-    params = DissipationParams(weights, epsilon)
-    traj = resimulate(mocap, params)
-    curve = com_curve(traj, weights, times=mocap.times)
+    traj = integrate_motion_trajectory(shapes, DissipationParams(weights, epsilon))
+    curve = com_curve(traj, weights, times=exp_curve.times)
     return (epsilon, rms_error(curve, exp_curve), curve.final_displacement), curve
 
 
@@ -188,26 +187,26 @@ def fit_anisotropy(
 ) -> AnisotropyFit:
     """Fit the anisotropy ratio to a measured trajectory.
 
-    The ratios of a 6-point log-spaced grid over `bounds` are resimulated
-    first; bounded Brent then minimizes the squared RMS between the best
-    grid ratio's two neighbours, to 1e-4 in the ratio.  The square is
-    minimized because on noise-free data the RMS itself is V-shaped at the
-    truth (proportional to |epsilon - truth|), which defeats Brent's
-    parabolic steps; its square is smooth there.  Both bounds are grid
-    points, so a ratio at a bound is found.  The returned fit is the
-    evaluated ratio whose CoM curve has the least RMS distance to the
-    measurement.
+    The marker shapes, extracted once, are resimulated at the ratios of a
+    6-point log-spaced grid over `bounds` first; bounded Brent then minimizes
+    the squared RMS between the best grid ratio's two neighbours, to 1e-4 in
+    the ratio.  The square is minimized because on noise-free data the RMS
+    itself is V-shaped at the truth (proportional to |epsilon - truth|),
+    which defeats Brent's parabolic steps; its square is smooth there.  Both
+    bounds are grid points, so a ratio at a bound is found.  The returned fit
+    is the evaluated ratio with the least RMS distance to the measurement.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0.0 < lo < hi <= 1.0:
         raise InvalidAnisotropy(f"need 0 < lo < hi <= 1, got ({lo}, {hi})")
     w = np.asarray(weights, dtype=float).ravel()
     exp_curve = com_curve(exp_mocap, w)
+    shapes = extract_shapes(exp_mocap)  # the same executed shapes for every ratio
 
     history, curves = [], []
 
     def squared_rms(epsilon):
-        record, curve = _evaluate(exp_mocap, w, exp_curve, float(epsilon))
+        record, curve = _evaluate(shapes, w, exp_curve, float(epsilon))
         history.append(record)
         curves.append(curve)
         return record[1] ** 2

@@ -9,11 +9,11 @@ next shape reduces to one periodic scalar root in the angle: Newton with an
 analytic derivative, and a scan for a sign change plus a bracketed refinement
 for the rare steps where Newton stalls.
 
-Shapes are (N, 2) vertex and tangent arrays, the tensors are 2x2, and the
-momentum is the 3-vector (rotational, x, y), with the scalar cross product
-a_x b_y - a_y b_x for the rotational part.  `_momentum_and_energy` gives
-the reference residual that accepts every step and the step's energy in one
-pass.  A non-finite residual never counts as converged.
+The step path reads the stored (N, 2) vertex and tangent arrays as x + iy
+(`geometry.complex_view`): a x b is Im(conj(a) b), a rotation is a product
+with e^{i theta}, and the momentum is the 3-vector (rotational, x, y).  The
+reference residual that accepts every step and the step's energy come from
+one pass, `_momentum_and_energy`.  A non-finite residual never counts as converged.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError, InvalidAnisotropy, InvalidWeight, NoConvergence, ShapeMismatch
-from .geometry import PositionedShape, RigidMotion, apply_rigid_motion, center_of_mass, rigid_registration
+from .geometry import PositionedShape, RigidMotion, apply_rigid_motion, center_of_mass, complex_view, rigid_registration
 
 __all__ = [
     "DissipationParams",
@@ -110,20 +110,8 @@ def local_tensor(tangent, w: float, epsilon: float) -> np.ndarray:
 
 
 def _check_pair(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams):
-    if prev.num_vertices != nxt.num_vertices:
-        raise ShapeMismatch(
-            f"shapes have {prev.num_vertices} and {nxt.num_vertices} vertices"
-        )
-    if len(params.weights) != prev.num_vertices:
-        raise ShapeMismatch(
-            f"{len(params.weights)} weights for {prev.num_vertices} vertices"
-        )
-
-
-def _apply_tensors(weights, epsilon, tangents, vectors):
-    """Rows (D_k v_k) for the dissipation tensors defined by `tangents`."""
-    along = (tangents * vectors).sum(axis=1, keepdims=True)
-    return weights[:, None] * (vectors + (epsilon - 1.0) * along * tangents)
+    if not prev.num_vertices == nxt.num_vertices == len(params.weights):
+        raise ShapeMismatch(f"shapes of {prev.num_vertices} and {nxt.num_vertices} vertices, {len(params.weights)} weights")
 
 
 def step_energy(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams) -> float:
@@ -137,31 +125,30 @@ def total_energy(traj: Trajectory) -> float:
     return float(np.sum(traj.step_energies))
 
 
-def _cross(a, b):
-    """Planar cross product a_x b_y - a_y b_x over the last axis."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
 def _momentum_and_energy(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams):
-    """Momentum 3-vector (rotational, x, y), with the -1/2 prefactor, and the step energy."""
-    w, eps, p_prev, p_next = params.weights, params.epsilon, prev.vertices, nxt.vertices
-    delta = p_next - p_prev
-    d_prev = _apply_tensors(w, eps, prev.tangents, delta)
-    d_next = _apply_tensors(w, eps, nxt.tangents, delta)
+    """Momentum 3-vector (rotational, x, y), with the -1/2 prefactor, and the step energy.
+
+    On the vertices p, q as x + iy, d = q - p and D d = w (d + (eps - 1) (t . d) t) for either
+    shape's tangents t, unit or not: rot = -1/2 Im(vdot(q, D_prev d) + vdot(p, D_next d)),
+    xy = -1/4 sum((D_prev + D_next) d) and energy = 1/4 Re vdot((D_prev + D_next) d, d).
+    """
+    w, eps = params.weights, params.epsilon
+    p, q = complex_view(prev.vertices), complex_view(nxt.vertices)
+    d = q - p
+    s, u = complex_view(prev.tangents), complex_view(nxt.tangents)
+    wd, a = w * d, (eps - 1.0) * w
+    d_prev = wd + a * (s.conjugate() * d).real * s
+    d_next = wd + a * (u.conjugate() * d).real * u
     d_sum = d_prev + d_next
-    mu = np.empty(3)
-    mu[0] = -0.5 * (_cross(p_next, d_prev) + _cross(p_prev, d_next)).sum()
-    mu[1:] = -0.25 * d_sum.sum(axis=0)
-    return mu, 0.25 * float((d_sum * delta).sum())
+    xy = -0.25 * d_sum.sum()
+    rot = -0.5 * (np.vdot(q, d_prev) + np.vdot(p, d_next)).imag
+    return np.array([rot, xy.real, xy.imag]), 0.25 * float(np.vdot(d_sum, d).real)
 
 
 def geometric_momentum(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams) -> np.ndarray:
     """3-vector (rotational, x, y) of the step momentum."""
     _check_pair(prev, nxt, params)
     return _momentum_and_energy(prev, nxt, params)[0]
-
-
-_XY = np.array([1.0, 1j])  # (N, 2) points @ _XY = the complex numbers x + iy
 
 
 class _AngleEquation:
@@ -183,16 +170,16 @@ class _AngleEquation:
 
     def __init__(self, prev: PositionedShape, nxt: PositionedShape, params: DissipationParams):
         w, eps = params.weights, params.epsilon
-        total = float(w.sum())
-        p, v = prev.vertices @ _XY, nxt.vertices @ _XY
-        self.p_bar, self.v_bar = complex(w @ p) / total, complex(w @ v) / total
+        self.total = total = float(w.sum())
+        p, v = complex_view(prev.vertices), complex_view(nxt.vertices)
+        self.p_bar, self.v_bar = complex(np.dot(w, p)) / total, complex(np.dot(w, v)) / total
         # the pairwise products of the columns 1, conj(V), conj(P), weighted by
         # gamma s^2 (prev tangents) and gamma u^2 (next tangents), give every sum
         cols = np.empty((len(w), 3), dtype=complex)
         cols[:, 0] = 1.0
         np.conjugate(v - self.v_bar, out=cols[:, 1])
         np.conjugate(p - self.p_bar, out=cols[:, 2])
-        t2 = np.stack([prev.tangents, nxt.tangents]) @ _XY
+        t2 = np.array([complex_view(prev.tangents), complex_view(nxt.tangents)])
         t2 *= t2
         t2 *= 0.5 * (eps - 1.0) * w
         prev_sums, next_sums = ((t2[:, None, :] * cols.T) @ cols).tolist()
@@ -323,7 +310,7 @@ def position_step(
     """
     _check_pair(prev, next_shape, params)
     equation = _AngleEquation(prev, next_shape, params)
-    accept_tol = tol * float(params.weights.sum()) * max(next_shape.polyline_length, 1e-300)
+    accept_tol = tol * equation.total * max(next_shape.polyline_length, 1e-300)
     if guess is None:
         seed = rigid_registration(next_shape.vertices, prev.vertices, params.weights).angle
     else:
@@ -331,19 +318,15 @@ def position_step(
     if not math.isfinite(seed):
         raise NoConvergence(f"seed angle {seed} is not finite", residual=np.full(3, np.nan), iterations=0)
 
-    theta, iterations, b = _solve_angle(
-        equation, seed, accept_tol, _POLISH_FACTOR * accept_tol, max_iterations
-    )
+    theta, iterations, b = _solve_angle(equation, seed, accept_tol, _POLISH_FACTOR * accept_tol, max_iterations)
     motion = RigidMotion(theta, np.array([b.real, b.imag]))
     positioned = apply_rigid_motion(motion, next_shape)
     residual, energy = _momentum_and_energy(prev, positioned, params)
-    norm = float(np.linalg.norm(residual))
+    norm = math.hypot(*residual)
     if not norm <= accept_tol:  # true for a NaN norm as well
         raise NoConvergence(
-            f"|momentum| = {norm:.3e} above tolerance {accept_tol:.3e} "
-            f"after {iterations} iterations",
-            residual=residual,
-            iterations=iterations,
+            f"|momentum| = {norm:.3e} above tolerance {accept_tol:.3e} after {iterations} iterations",
+            residual=residual, iterations=iterations,
         )
     return StepSolution(motion, positioned, residual, iterations, energy)
 
@@ -356,10 +339,7 @@ def integrate_motion_trajectory(shapes: list[PositionedShape], params: Dissipati
     """
     if not shapes:
         raise ShapeMismatch("need at least one shape to integrate")
-    if len(params.weights) != shapes[0].num_vertices:
-        raise ShapeMismatch(
-            f"{len(params.weights)} weights for {shapes[0].num_vertices} vertices"
-        )
+    _check_pair(shapes[0], shapes[0], params)
     positioned = [shapes[0]]
     energies = np.zeros(len(shapes) - 1)
     guess = None

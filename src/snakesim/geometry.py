@@ -1,12 +1,13 @@
 """Discrete planar curves, rigid motions, and curvature-based reconstruction.
 
-Points are stored as (N, 2) arrays of in-plane coordinates; `_as_points`
-is the one place that checks that layout.  A rigid motion is a rotation
-angle with its 2x2 matrix plus a 2-vector translation.
+Points are C-contiguous float64 (N, 2) arrays: `_as_points` checks that layout
+and copies other input, so `complex_view` reads them as x + iy without a copy.
+A rigid motion is a rotation angle plus a 2-vector translation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,12 +18,32 @@ _COINCIDENT_TOL = 1e-12
 
 
 def _as_points(points, stacked: bool = False) -> np.ndarray:
-    """(N, 2) points, or with `stacked` a (..., N, 2) stack of such arrays."""
-    pts = np.asarray(points, dtype=float)
+    """(N, 2) points, or with `stacked` a (..., N, 2) stack of such arrays, C-contiguous float64."""
+    pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim < 2 or pts.shape[-1] != 2 or (pts.ndim > 2 and not stacked):
         layout = "(..., N, 2)" if stacked else "(N, 2)"
         raise ShapeMismatch(f"expected an {layout} array of points, got shape {pts.shape}")
     return pts
+
+
+def complex_view(points: np.ndarray) -> np.ndarray:
+    """The (..., N) complex numbers x + iy sharing memory with stored (..., N, 2) points."""
+    return points.view(complex)[..., 0]
+
+
+def _turn(rotor: complex, points, shift: complex = 0.0) -> np.ndarray:
+    """rotor z + shift for the points z = x + iy of a (..., N, 2) array, as (..., N, 2) floats."""
+    return (rotor * complex_view(_as_points(points, stacked=True)) + shift)[..., None].view(float)
+
+
+def _weights(weights, count: int) -> np.ndarray:
+    """`count` finite strictly positive weights as a float vector."""
+    w = np.asarray(weights, dtype=float).ravel()
+    if len(w) != count:
+        raise ShapeMismatch(f"{len(w)} weights for {count} vertices")
+    if not ((w > 0.0) & (w < math.inf)).all():
+        raise NonPositiveWeight("all weights must be finite and strictly positive")
+    return w
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -52,11 +73,18 @@ class RigidMotion:
     def matrix(self) -> np.ndarray:
         return rotation_matrix(self.angle)
 
-    def apply_points(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.matrix.T + self.translation
+    @property
+    def rotor(self) -> complex:
+        """The rotation as the unit complex number e^{i angle}."""
+        return complex(math.cos(self.angle), math.sin(self.angle))
 
-    def apply_vectors(self, vectors: np.ndarray) -> np.ndarray:
-        return vectors @ self.matrix.T
+    def apply_points(self, points) -> np.ndarray:
+        return _turn(self.rotor, points, complex(*self.translation))
+
+    def move(self, points, vectors) -> tuple[np.ndarray, np.ndarray]:
+        """(..., N, 2) points moved and vectors rotated, with e^{i angle} formed once."""
+        rotor = self.rotor
+        return _turn(rotor, points, complex(*self.translation)), _turn(rotor, vectors)
 
     def compose(self, other: "RigidMotion") -> "RigidMotion":
         """Motion equivalent to applying `other` first, then `self`."""
@@ -101,8 +129,8 @@ class PositionedShape:
 
     @property
     def polyline_length(self) -> float:
-        edges = self.vertices[1:] - self.vertices[:-1]
-        return float(np.sqrt(edges[:, 0] * edges[:, 0] + edges[:, 1] * edges[:, 1]).sum())
+        z = complex_view(self.vertices)
+        return float(np.abs(z[1:] - z[:-1]).sum())
 
 
 def tangents_from_vertices(vertices) -> np.ndarray:
@@ -140,7 +168,7 @@ def shapes_from_vertices(vertices) -> list[PositionedShape]:
 
 def apply_rigid_motion(motion: RigidMotion, shape: PositionedShape) -> PositionedShape:
     """Move a positioned shape rigidly; tangents rotate with the shape."""
-    return PositionedShape(motion.apply_points(shape.vertices), motion.apply_vectors(shape.tangents))
+    return PositionedShape(*motion.move(shape.vertices, shape.tangents))
 
 
 def rigid_registration(source, target, weights) -> RigidMotion:
@@ -151,9 +179,11 @@ def rigid_registration(source, target, weights) -> RigidMotion:
     to round-off when `target` is a rigid image of `source`.
     """
     src, dst = _as_points(source), _as_points(target)
+    if src.shape != dst.shape:
+        raise ShapeMismatch(f"source {src.shape} and target {dst.shape} differ in shape")
+    weights = _weights(weights, len(src))
     w = weights / weights.sum()
-    dst_bar = w @ dst
-    src_bar = w @ src
+    dst_bar, src_bar = w @ dst, w @ src
     dc = dst - dst_bar
     sc = src - src_bar
     sin_sum = float(np.sum(weights * (sc[:, 0] * dc[:, 1] - sc[:, 1] * dc[:, 0])))
@@ -210,10 +240,6 @@ def polyline_from_headings(headings, edge_length: float) -> np.ndarray:
 
 def center_of_mass(points, weights) -> np.ndarray:
     """Weighted mean of the vertex positions: (..., N, 2) points or a shape give (..., 2)."""
-    pts = points.vertices if isinstance(points, PositionedShape) else np.asarray(points, dtype=float)
-    w = np.asarray(weights, dtype=float).ravel()
-    if pts.ndim < 2 or pts.shape[-1] != 2 or len(w) != pts.shape[-2]:
-        raise ShapeMismatch(f"{len(w)} weights for a vertex array of shape {pts.shape}")
-    if np.any(w <= 0):
-        raise NonPositiveWeight("all weights must be strictly positive")
+    pts = points.vertices if isinstance(points, PositionedShape) else _as_points(points, stacked=True)
+    w = _weights(weights, pts.shape[-2])
     return w @ pts / w.sum()

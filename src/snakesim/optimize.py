@@ -164,10 +164,9 @@ def simulate_gait(gait: GaitEllipse, sim: SimConfig, params: DissipationParams) 
     # frames 1..T of the first cycle, stacked (T, N, 2) so each power of M moves them at once
     vertices = np.stack([shape.vertices for shape in first.shapes[1:]])
     tangents = np.stack([shape.tangents for shape in first.shapes[1:]])
-    shapes = list(first.shapes)
-    power = net
+    shapes, power = list(first.shapes), net
     for _ in range(1, sim.cycles):
-        shapes += map(PositionedShape, power.apply_points(vertices), power.apply_vectors(tangents))
+        shapes += map(PositionedShape, *power.move(vertices, tangents))
         power = net.compose(power)
     return Trajectory(shapes, np.tile(first.step_energies, sim.cycles), params)
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import FileFormatError, InvalidLength, ShapeMismatch
 from .geometry import (  # curve_from_curvature stays importable here: the per-layer benchmark wraps it
     PositionedShape,
+    complex_view,
     curve_from_curvature,
     polyline_from_headings,
     shapes_from_vertices,
@@ -121,19 +122,13 @@ def gait_to_shape_sequence(
 
 
 def shapes_to_joint_angles(shapes: list[PositionedShape]) -> np.ndarray:
-    """Signed interior turning angles, one row per shape, one column per joint."""
+    """Signed interior turning angles, arg(edge k+1 * conj(edge k)): a row per shape, a column per joint."""
     if not shapes:
         return np.zeros((0, 0))
-    n = shapes[0].num_vertices
-    rows = []
-    for shape in shapes:
-        if shape.num_vertices != n:
-            raise ShapeMismatch("all shapes must have the same vertex count")
-        edges = np.diff(shape.vertices, axis=0)
-        cross = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
-        dot = np.sum(edges[:-1] * edges[1:], axis=1)
-        rows.append(np.arctan2(cross, dot))
-    return np.asarray(rows)
+    if len({shape.num_vertices for shape in shapes}) != 1:
+        raise ShapeMismatch("all shapes must have the same vertex count")
+    edges = np.diff(complex_view(np.stack([shape.vertices for shape in shapes])), axis=-1)
+    return np.angle(edges[:, 1:] * edges[:, :-1].conjugate())
 
 
 def joint_angles_to_shapes(angles, edge_length: float) -> list[PositionedShape]:

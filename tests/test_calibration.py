@@ -247,6 +247,22 @@ class TestFitAnisotropy:
             assert displacement == curve.final_displacement
             assert rms == rms_error(curve, com_curve(mocap, params.weights))
 
+    def test_extracts_the_marker_shapes_once_per_fit(self, monkeypatch):
+        import snakesim.calibration as cal
+
+        calls = []
+        original = cal.extract_shapes
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cal, "extract_shapes", counted)
+        mocap, params = synthetic_mocap(0.3, timesteps=6, edges=4)
+        fit = cal.fit_anisotropy(mocap, params.weights)
+        assert len(fit.evaluations) > cal.GRID_POINTS
+        assert len(calls) == 1
+
     def test_unpacks_as_pair(self):
         fit = AnisotropyFit(0.25, 1e-9, [(0.25, 1e-9, 0.1)])
         epsilon, rms = fit

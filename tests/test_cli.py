@@ -281,18 +281,25 @@ class TestCalibrate:
     def test_resimulates_once_per_evaluation(self, tmp_path, capsys, mocap_file, monkeypatch):
         import snakesim.calibration as calibration
 
-        calls = []
-        original = calibration.resimulate
+        calls = {"integrate_motion_trajectory": [], "extract_shapes": []}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(name):
+            original = getattr(calibration, name)
 
-        monkeypatch.setattr(calibration, "resimulate", counted)
+            def counted(*args, **kwargs):
+                calls[name].append(args)
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(calibration, name, counting(name))
         out = tmp_path / "run"
         code, _, _ = run(capsys, "calibrate", mocap_file, "--out", str(out))
         assert code == 0
-        assert len(calls) == len(read_calibration_csv(out / "calibration.csv"))
+        # one integration of the recorded shapes per evaluated ratio, extracted once
+        assert len(calls["integrate_motion_trajectory"]) == len(read_calibration_csv(out / "calibration.csv"))
+        assert len(calls["extract_shapes"]) == 1
 
     def test_nan_marker_exits_2(self, tmp_path, capsys, mocap_file):
         bad = tmp_path / "nan.csv"

@@ -30,6 +30,7 @@ from snakesim.geometry import (
     apply_rigid_motion,
     center_of_mass,
     curve_from_curvature,
+    tangents_from_vertices,
 )
 from snakesim.shapespace import GaitEllipse, gait_to_shape_sequence
 
@@ -45,6 +46,26 @@ COARSE_GAIT = GaitEllipse(
 def reference_shapes(timesteps=24, edges=8, body_length=0.92, closed=True):
     cycle = gait_to_shape_sequence(REFERENCE_GAIT, timesteps, edges, body_length)
     return cycle + [cycle[0]] if closed else cycle
+
+
+def relaid(shape, layout):
+    """The same shape built from its arrays in another memory layout."""
+    def lay(points):
+        if layout == "fortran":
+            return np.asfortranarray(points)
+        big = np.zeros((len(points), 4))
+        big[:, ::2] = points
+        return big[:, ::2]
+    return PositionedShape(lay(shape.vertices), lay(shape.tangents))
+
+
+def integer_frames(rng, count=6, num_vertices=7):
+    """Integer-valued (N, 2) polylines, each a small integer perturbation of the last."""
+    frame = np.column_stack([10 * np.arange(num_vertices), rng.integers(-3, 4, size=num_vertices)])
+    frames = [frame]
+    for _ in range(count - 1):
+        frames.append(frames[-1] + rng.integers(-1, 2, size=frame.shape))
+    return frames
 
 
 def segment(length=1.0, origin=(0.0, 0.0), angle=0.0):
@@ -172,6 +193,33 @@ class TestGeometricMomentum:
             )
             expected = np.concatenate([mu[:1], g.matrix @ mu[1:]])
             assert np.allclose(rotated, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1865, 1.0])
+    def test_matches_per_vertex_local_tensor_sums(self, epsilon):
+        # the README definition, vertex by vertex, with |t| = 1 +- 0.99e-9 (just
+        # inside the shape's bound): the reference residual must not assume |t| = 1
+        rng = np.random.default_rng(int(epsilon * 1e4))
+        for _ in range(20):
+            n = int(rng.integers(3, 13))
+            p = np.cumsum(rng.normal(size=(n, 2)), axis=0)
+            q = p + rng.normal(scale=0.1, size=(n, 2))
+            stretch = [1.0 + rng.choice([-0.99e-9, 0.99e-9], size=(n, 1)) for _ in range(2)]
+            prev = PositionedShape(p, tangents_from_vertices(p) * stretch[0])
+            nxt = PositionedShape(q, tangents_from_vertices(q) * stretch[1])
+            w = rng.uniform(0.1, 2.0, size=n)
+            params = DissipationParams(w, epsilon)
+            cross = lambda a, b: a[0] * b[1] - a[1] * b[0]
+            mu, energy = np.zeros(3), 0.0
+            for k in range(n):
+                d = q[k] - p[k]
+                f_prev = local_tensor(prev.tangents[k], w[k], epsilon) @ d
+                f_next = local_tensor(nxt.tangents[k], w[k], epsilon) @ d
+                mu[0] -= 0.5 * (cross(q[k], f_prev) + cross(p[k], f_next))
+                mu[1:] -= 0.25 * (f_prev + f_next)
+                energy += 0.25 * d @ (f_prev + f_next)
+            scale = w.sum() * nxt.polyline_length
+            assert np.max(np.abs(geometric_momentum(prev, nxt, params) - mu)) <= 1e-14 * scale
+            assert abs(step_energy(prev, nxt, params) - energy) <= 1e-13 * energy
 
 
 def independent_residual_grid(prev, nxt, weights, eps, phis, bxs, bys):
@@ -368,6 +416,27 @@ class TestPositionStep:
                 assert iterations <= budget
                 assert b == equation(theta)[2]
 
+    def test_input_layout_does_not_change_the_step(self):
+        # Fortran-ordered, strided and integer arrays are stored C-contiguous float64
+        rng = np.random.default_rng(31)
+        shapes = reference_shapes(timesteps=12, edges=8)
+        params = DissipationParams.uniform(1.38, 9, 0.2)
+        ints = integer_frames(rng, count=2, num_vertices=9)
+        cases = [((shapes[2], shapes[3]), (relaid(shapes[2], layout), relaid(shapes[3], layout)))
+                 for layout in ("fortran", "strided")]
+        cases.append((
+            tuple(PositionedShape.from_vertices(f.astype(float)) for f in ints),
+            tuple(PositionedShape(f, tangents_from_vertices(f)) for f in ints),
+        ))
+        for reference, other in cases:
+            expected, found = position_step(*reference, params), position_step(*other, params)
+            assert found.motion.angle == expected.motion.angle
+            assert np.array_equal(found.motion.translation, expected.motion.translation)
+            assert np.array_equal(found.positioned.vertices, expected.positioned.vertices)
+            assert np.array_equal(found.positioned.tangents, expected.positioned.tangents)
+            assert np.array_equal(found.residual, expected.residual)
+            assert (found.energy, found.iterations) == (expected.energy, expected.iterations)
+
     def test_root_nearest_the_seed_angle(self):
         # g changes sign twice on this step; from any seed angle the step lands
         # on the root nearest it, whether Newton reaches it or the scan does
@@ -443,6 +512,24 @@ class TestIntegrateMotionTrajectory:
             for ours, theirs in zip(base.shapes, moved.shapes):
                 expected = apply_rigid_motion(h, ours)
                 assert np.max(np.abs(theirs.vertices - expected.vertices)) < 1e-8 * 0.92
+
+    def test_input_layout_does_not_change_the_trajectory(self):
+        rng = np.random.default_rng(32)
+        shapes = reference_shapes(timesteps=12, edges=8)
+        ints = integer_frames(rng)
+        cases = [(shapes, [relaid(s, layout) for s in shapes]) for layout in ("fortran", "strided")]
+        cases.append((
+            [PositionedShape.from_vertices(f.astype(float)) for f in ints],
+            [PositionedShape(f, tangents_from_vertices(f)) for f in ints],
+        ))
+        for reference, other in cases:
+            params = DissipationParams.uniform(1.38, reference[0].num_vertices, 0.2)
+            expected = integrate_motion_trajectory(reference, params)
+            found = integrate_motion_trajectory(other, params)
+            for lhs, rhs in zip(expected.shapes, found.shapes):
+                assert np.array_equal(lhs.vertices, rhs.vertices)
+                assert np.array_equal(lhs.tangents, rhs.tangents)
+            assert np.array_equal(expected.step_energies, found.step_energies)
 
     def test_determinism_bitwise(self):
         shapes = reference_shapes(timesteps=12, edges=8)

@@ -7,6 +7,7 @@ from snakesim.geometry import (
     RigidMotion,
     apply_rigid_motion,
     center_of_mass,
+    complex_view,
     curve_from_curvature,
     rigid_registration,
     rotation_matrix,
@@ -106,6 +107,26 @@ class TestTangents:
             PositionedShape(verts, [[1.0 + 2e-9, 0.0], [1.0, 0.0]])
         PositionedShape(verts, [[1.0 + 5e-10, 0.0], [1.0, 0.0]])  # within the 1e-9 bound
 
+    def test_shapes_store_c_contiguous_float64(self):
+        # complex_view relies on this layout, whatever the caller passed in
+        ints = np.array([[0, 0], [2, 0], [3, 2], [5, 3], [4, 6]])
+        verts = ints.astype(float)
+        tangs = tangents_from_vertices(verts)
+        big_verts, big_tangs = np.zeros((5, 4)), np.zeros((5, 4))
+        big_verts[:, ::2], big_tangs[:, ::2] = verts, tangs
+        layouts = {
+            "integer": (ints, tangs),
+            "fortran": (np.asfortranarray(verts), np.asfortranarray(tangs)),
+            "strided": (big_verts[:, ::2], big_tangs[:, ::2]),
+        }
+        for name, (v, t) in layouts.items():
+            shape = PositionedShape(v, t)
+            for stored, expected in ((shape.vertices, verts), (shape.tangents, tangs)):
+                assert stored.dtype == np.float64 and stored.flags.c_contiguous, name
+                assert np.array_equal(stored, expected), name
+                assert np.array_equal(complex_view(stored), expected[:, 0] + 1j * expected[:, 1]), name
+        assert PositionedShape.from_vertices(np.asfortranarray(verts)).tangents.flags.c_contiguous
+
     def test_stacked_polylines_match_one_at_a_time(self):
         rng = np.random.default_rng(7)
         stack = np.cumsum(rng.normal(size=(5, 9, 2)), axis=1)
@@ -174,6 +195,26 @@ class TestRigidRegistration:
             found = rigid_registration(source, g.apply_points(source), weights)
             assert abs(np.angle(np.exp(1j * (found.angle - g.angle)))) < 1e-12
             assert np.max(np.abs(found.translation - g.translation)) < 1e-12
+
+    def test_weights_may_be_a_list(self):
+        rng = np.random.default_rng(9)
+        source = np.cumsum(rng.normal(size=(4, 2)), axis=0)
+        target = random_motion(rng).apply_points(source)
+        weights = [0.5, 1.0, 1.5, 2.0]
+        found = rigid_registration(source, target, weights)
+        expected = rigid_registration(source, target, np.array(weights))
+        assert found.angle == expected.angle
+        assert np.array_equal(found.translation, expected.translation)
+
+    def test_bad_weights(self):
+        source = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ShapeMismatch):
+            rigid_registration(source, source, np.ones(4))
+        with pytest.raises(ShapeMismatch):
+            rigid_registration(source, source[:2], np.ones(3))
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(NonPositiveWeight):
+                rigid_registration(source, source, [1.0, bad, 1.0])
 
 
 class TestCurveFromCurvature:
@@ -244,6 +285,11 @@ class TestCenterOfMass:
             center_of_mass(shape, [1.0, 0.0])
         with pytest.raises(ShapeMismatch):
             center_of_mass(shape, [1.0, 1.0, 1.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonPositiveWeight):
+                center_of_mass(shape, [1.0, bad])
+            with pytest.raises(NonPositiveWeight):
+                center_of_mass(np.zeros((3, 2, 2)), [bad, 1.0])
 
     def test_stacked_frames_match_per_shape(self):
         rng = np.random.default_rng(8)
