@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from snakesim.calibration import MocapTrajectory, com_curve, fit_anisotropy, mocap_from_shapes
+from snakesim.calibration import MocapTrajectory, com_curve, fit_anisotropy
 from snakesim.dynamics import DissipationParams
 from snakesim.optimize import SimConfig, simulate_gait
 from snakesim.shapespace import GaitEllipse
@@ -32,7 +32,7 @@ def main():
     params = DissipationParams.uniform(1.38, sim.num_vertices, args.epsilon)
     gait = GaitEllipse(sigma=1.0, xc=0.0, yc=0.0, theta=0.0, a=3.0, xi=1.0)
     traj = simulate_gait(gait, sim, params)
-    mocap = mocap_from_shapes(traj.shapes, np.linspace(0.0, 1.0, len(traj.shapes)))
+    mocap = MocapTrajectory(np.linspace(0.0, 1.0, len(traj.vertices)), traj.vertices)
     if args.noise > 0:
         rng = np.random.default_rng(args.seed)
         noisy = mocap.frames + rng.normal(scale=args.noise, size=mocap.frames.shape)

@@ -30,7 +30,7 @@ def main():
 
     traj = simulate_gait(gait, sim, params)
 
-    print(f"simulated {len(traj.shapes)} frames ({sim.timesteps} steps)")
+    print(f"simulated {len(traj.vertices)} frames ({sim.timesteps} steps)")
     print(f"net CoM displacement: {traj.net_displacement:.6f} m "
           f"({traj.net_displacement / sim.body_length:.4f} body lengths)")
     print(f"energy dissipated:    {total_energy(traj):.6e}")
@@ -38,7 +38,7 @@ def main():
 
     write_trajectory_csv(out / "trajectory.csv", traj)
     write_step_energies_csv(out / "energies.csv", traj.step_energies)
-    plot_trajectory(out / "trajectory.svg", traj.shapes, com_path=traj.com_path(),
+    plot_trajectory(out / "trajectory.svg", traj.vertices, com_path=traj.com_path(),
                     title="one gait cycle", stride=5)
     print(f"wrote {out}/trajectory.csv, energies.csv, trajectory.svg")
 

@@ -73,7 +73,6 @@ from .calibration import (
     com_curve,
     extract_shapes,
     fit_anisotropy,
-    mocap_from_shapes,
     read_mocap_csv,
     read_weights_file,
     resimulate,

@@ -16,13 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .dynamics import DissipationParams, Trajectory, integrate_motion_trajectory
-from .errors import (
-    EmptyCurve,
-    FileFormatError,
-    InconsistentMarkerCount,
-    InvalidAnisotropy,
-    InvalidWeight,
-)
+from .errors import EmptyCurve, FileFormatError, InconsistentMarkerCount, InvalidAnisotropy
 from .geometry import PositionedShape, _as_points, center_of_mass, shapes_from_vertices
 from .geometry import tangents_from_vertices  # noqa: F401 -- bench/workloads.py traces the shape layer here
 
@@ -35,7 +29,6 @@ __all__ = [
     "com_curve",
     "rms_error",
     "fit_anisotropy",
-    "mocap_from_shapes",
     "read_mocap_csv",
     "write_mocap_csv",
     "read_weights_file",
@@ -139,15 +132,14 @@ def resimulate(mocap: MocapTrajectory, params: DissipationParams) -> Trajectory:
 
 
 def com_curve(source, weights, times=None) -> ComCurve:
-    """Weighted center-of-mass curve of a Trajectory or a MocapTrajectory."""
+    """Weighted center-of-mass curve of a Trajectory or a MocapTrajectory.
+
+    Weights that are not finite and strictly positive raise NonPositiveWeight.
+    """
     w = np.asarray(weights, dtype=float).ravel()
-    if np.any(w <= 0):
-        raise InvalidWeight("weights must be strictly positive")
     if isinstance(source, MocapTrajectory):
         if len(w) != source.num_markers:
-            raise InconsistentMarkerCount(
-                f"{len(w)} weights for {source.num_markers} markers"
-            )
+            raise InconsistentMarkerCount(f"{len(w)} weights for {source.num_markers} markers")
         return ComCurve(source.times, center_of_mass(source.frames, w))
     path = source.com_path(w)
     if times is None:
@@ -220,15 +212,7 @@ def fit_anisotropy(
     return AnisotropyFit(best[0], best[1], history, curves)
 
 
-# -- synthetic data and file formats ------------------------------------------
-
-
-def mocap_from_shapes(shapes, times=None) -> MocapTrajectory:
-    """Package positioned shapes as a marker recording (vertices = markers)."""
-    frames = np.stack([s.vertices for s in shapes])
-    if times is None:
-        times = np.arange(len(shapes), dtype=float)
-    return MocapTrajectory(times, frames)
+# -- file formats ---------------------------------------------------------------
 
 
 def write_mocap_csv(path, mocap: MocapTrajectory):

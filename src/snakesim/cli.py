@@ -188,7 +188,7 @@ def cmd_simulate(args) -> int:
     com = traj.com_path()
     _emit(
         _out_path(cfg, "trajectory.svg"),
-        lambda path: svgplot.plot_trajectory(path, traj.shapes, com_path=com, title="body and CoM path"),
+        lambda path: svgplot.plot_trajectory(path, traj.vertices, com_path=com, title="body and CoM path"),
     )
     return 0
 

@@ -14,6 +14,8 @@ The step path reads the stored (N, 2) vertex and tangent arrays as x + iy
 with e^{i theta}, and the momentum is the 3-vector (rotational, x, y).  The
 reference residual that accepts every step and the step's energy come from
 one pass, `_momentum_and_energy`.  A non-finite residual never counts as converged.
+A `Trajectory` holds its frames as (T+1, N, 2) vertex and tangent stacks, checked
+once, and derives `PositionedShape` objects only for callers that ask for them.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FileFormatError, InvalidAnisotropy, InvalidWeight, NoConvergence, ShapeMismatch
-from .geometry import PositionedShape, RigidMotion, apply_rigid_motion, center_of_mass, complex_view, rigid_registration
+from .geometry import PositionedShape, RigidMotion, _check_frames, apply_rigid_motion, center_of_mass, complex_view
+from .geometry import rigid_registration, shapes_from_vertices
 
 __all__ = [
     "DissipationParams",
@@ -82,16 +86,30 @@ class StepSolution:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Positioned shapes over time plus the energy dissipated by each step."""
+    """Frames 0..T as (T+1, N, 2) vertex and unit-tangent stacks, checked once, plus each step's energy."""
 
-    shapes: list[PositionedShape]
+    vertices: np.ndarray
+    tangents: np.ndarray
     step_energies: np.ndarray
     params: DissipationParams
 
+    def __post_init__(self):
+        verts, tangs = _check_frames(self.vertices, self.tangents, stacked=True)
+        energies = np.asarray(self.step_energies, dtype=float)
+        if verts.shape[1] != len(self.params.weights) or energies.shape != (len(verts) - 1,):
+            raise ShapeMismatch(f"frames {verts.shape}, step energies {energies.shape}, {len(self.params.weights)} weights")
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "tangents", tangs)
+        object.__setattr__(self, "step_energies", energies)
+
+    @cached_property
+    def shapes(self) -> tuple[PositionedShape, ...]:
+        """The frames as `PositionedShape` objects sharing memory with the stacks, built on first use."""
+        return tuple(map(PositionedShape, self.vertices, self.tangents))
+
     def com_path(self, weights=None) -> np.ndarray:
         """(T+1, 2) weighted center-of-mass positions; defaults to the dissipation weights."""
-        w = self.params.weights if weights is None else weights
-        return center_of_mass(np.stack([s.vertices for s in self.shapes]), w)
+        return center_of_mass(self.vertices, self.params.weights if weights is None else weights)
 
     @property
     def net_displacement(self) -> float:
@@ -334,15 +352,14 @@ def position_step(
 def integrate_motion_trajectory(shapes: list[PositionedShape], params: DissipationParams) -> Trajectory:
     """Position a whole shape sequence by solving the momentum root at every step.
 
-    The first shape is kept verbatim; each later solve is seeded with the
-    previous step's motion.  Each step's energy comes from its solve.
+    The first shape is kept as it is; each later solve is seeded with the
+    previous step's motion.  The placed shapes and the energies of the solves
+    fill the trajectory's stacks.
     """
     if not shapes:
         raise ShapeMismatch("need at least one shape to integrate")
-    _check_pair(shapes[0], shapes[0], params)
-    positioned = [shapes[0]]
-    energies = np.zeros(len(shapes) - 1)
-    guess = None
+    positioned, guess = [shapes[0]], None
+    energies = np.empty(len(shapes) - 1)
     for t in range(1, len(shapes)):
         try:
             solution = position_step(positioned[-1], shapes[t], params, guess=guess)
@@ -350,9 +367,11 @@ def integrate_motion_trajectory(shapes: list[PositionedShape], params: Dissipati
             exc.args = (f"timestep {t}: {exc}",)  # keeps residual and iterations
             raise
         positioned.append(solution.positioned)
-        energies[t - 1] = solution.energy
-        guess = solution.motion
-    return Trajectory(positioned, energies, params)
+        energies[t - 1], guess = solution.energy, solution.motion
+    # stacked after the loop: stacks allocated before it, amid its short-lived arrays, raised peak memory
+    vertices = np.array([shape.vertices for shape in positioned])
+    tangents = np.array([shape.tangents for shape in positioned])
+    return Trajectory(vertices, tangents, energies, params)
 
 
 # -- file formats -------------------------------------------------------------
@@ -360,14 +379,14 @@ def integrate_motion_trajectory(shapes: list[PositionedShape], params: Dissipati
 
 def write_trajectory_csv(path, shapes: list[PositionedShape] | Trajectory):
     """Rows (t, k, x, y), one per vertex per timestep, meters."""
-    if isinstance(shapes, Trajectory):
-        shapes = shapes.shapes
-    # the bytes csv.writer would give: repr floats, no quoting needed, \r\n row ends
+    frames = shapes.vertices if isinstance(shapes, Trajectory) else [s.vertices for s in shapes]
+    # the bytes csv.writer would give: repr floats, no quoting needed, \r\n row ends; converting
+    # frame by frame and skipping the join halves the writer's peak memory on a 601-frame stack
     rows = ["t,k,x,y\r\n"]
-    for t, shape in enumerate(shapes):
-        rows += [f"{t},{k},{x!r},{y!r}\r\n" for k, (x, y) in enumerate(shape.vertices.tolist())]
+    for t, frame in enumerate(frames):
+        rows += [f"{t},{k},{x!r},{y!r}\r\n" for k, (x, y) in enumerate(frame.tolist())]
     with open(path, "w", newline="") as handle:
-        handle.write("".join(rows))
+        handle.writelines(rows)
 
 
 def read_trajectory_csv(path) -> list[PositionedShape]:
@@ -387,26 +406,26 @@ def read_trajectory_csv(path) -> list[PositionedShape]:
             except (ValueError, IndexError) as exc:
                 raise FileFormatError(f"{path}: bad trajectory row {row!r}") from exc
             frames.setdefault(t, {})[k] = (x, y)
-    shapes = []
+    stack = []
     for t in sorted(frames):
         frame = frames[t]
         if sorted(frame) != list(range(len(frame))):
             raise FileFormatError(f"{path}: frame {t} skips a vertex index")
-        if shapes and len(frame) != shapes[0].num_vertices:
-            raise FileFormatError(
-                f"{path}: frame {t} has {len(frame)} vertices, not {shapes[0].num_vertices}"
-            )
-        shapes.append(PositionedShape.from_vertices([frame[k] for k in range(len(frame))]))
-    return shapes
+        if stack and len(frame) != len(stack[0]):
+            raise FileFormatError(f"{path}: frame {t} has {len(frame)} vertices, not {len(stack[0])}")
+        stack.append([frame[k] for k in range(len(frame))])
+    return shapes_from_vertices(stack) if stack else []
 
 
 def write_step_energies_csv(path, energies):
     """Rows (t, energy) where t indexes the arriving shape (1-based)."""
+    values = np.asarray(energies, dtype=float)
+    if values.ndim != 1:
+        raise ShapeMismatch(f"expected a vector of step energies, got shape {values.shape}")
+    # the bytes csv.writer would give, as in write_trajectory_csv
+    rows = ["t,energy\r\n"] + [f"{t},{e!r}\r\n" for t, e in enumerate(values.tolist(), start=1)]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "energy"])
-        for t, value in enumerate(np.asarray(energies, dtype=float), start=1):
-            writer.writerow([t, repr(float(value))])
+        handle.writelines(rows)
 
 
 def read_step_energies_csv(path) -> np.ndarray:

@@ -46,6 +46,26 @@ def _weights(weights, count: int) -> np.ndarray:
     return w
 
 
+# |t| within 1e-9 of 1 is |t|^2 within 2e-9 + 1e-18 of 1; the 1e-15 on top covers the rounding
+# of |t|^2, so tangents scaled to exactly 1 +- 1e-9 pass, 1 +- 1.01e-9 fail, and NaN fails too
+_UNIT_SQUARE_TOL = 2e-9 + 1e-15
+
+
+def _check_frames(vertices, tangents, stacked: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and unit tangents of one (N, 2) shape, or with `stacked` of (T, N, 2) frames, checked."""
+    verts, tangs = _as_points(vertices, stacked), _as_points(tangents, stacked)
+    if verts.ndim != 2 + stacked or tangs.shape != verts.shape:
+        layout = "(T, N, 2)" if stacked else "(N, 2)"
+        raise ShapeMismatch(f"expected {layout} vertices and tangents alike, got {verts.shape} and {tangs.shape}")
+    if verts.shape[-2] < 2 or not len(verts):
+        raise ShapeMismatch("need at least one shape of at least two vertices")
+    if not np.isfinite(verts).all():
+        raise ShapeMismatch("vertices must be finite")
+    if not np.abs(tangs[..., 0] * tangs[..., 0] + tangs[..., 1] * tangs[..., 1] - 1.0).max() <= _UNIT_SQUARE_TOL:
+        raise ShapeMismatch("tangents must be finite and have unit length")
+    return verts, tangs
+
+
 def rotation_matrix(angle: float) -> np.ndarray:
     """2x2 rotation by `angle` radians."""
     c, s = np.cos(angle), np.sin(angle)
@@ -102,19 +122,7 @@ class PositionedShape:
     tangents: np.ndarray
 
     def __post_init__(self):
-        verts = _as_points(self.vertices)
-        tangs = _as_points(self.tangents)
-        if len(verts) < 2:
-            raise ShapeMismatch("a shape needs at least two vertices")
-        if tangs.shape != verts.shape:
-            raise ShapeMismatch(
-                f"tangent array shape {tangs.shape} does not match vertices {verts.shape}"
-            )
-        if not np.isfinite(verts).all():
-            raise ShapeMismatch("vertices must be finite")
-        # |t| within 1e-9 of 1 is |t|^2 within 2e-9 of 1; NaN fails the test as well
-        if not np.abs(tangs[:, 0] * tangs[:, 0] + tangs[:, 1] * tangs[:, 1] - 1.0).max() <= 2e-9:
-            raise ShapeMismatch("tangents must be finite and have unit length")
+        verts, tangs = _check_frames(self.vertices, self.tangents)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "tangents", tangs)
 

@@ -4,7 +4,8 @@ The objective is -displacement + c * dissipated energy, both taken from the
 same forward simulation of a closed gait cycle.  The forward map goes through
 a Newton solve per timestep, so the search is derivative-free: Nelder-Mead
 over box-normalized parameters, with bounds enforced by clipping at
-evaluation time.
+evaluation time.  A multi-cycle simulation solves one cycle and fills the
+trajectory's frame stacks of the later cycles with rigid moves of it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy.optimize import minimize
 
 from .dynamics import DissipationParams, Trajectory, integrate_motion_trajectory, total_energy
 from .errors import FileFormatError, NoConvergence, NonFiniteLoss, ShapeMismatch
-from .geometry import PositionedShape, rigid_registration
+from .geometry import rigid_registration
 from .shapespace import GaitEllipse, gait_to_shape_sequence
 
 __all__ = [
@@ -160,15 +161,13 @@ def simulate_gait(gait: GaitEllipse, sim: SimConfig, params: DissipationParams) 
     first = integrate_motion_trajectory(cycle + [cycle[0]], params)
     if sim.cycles == 1:
         return first
-    net = rigid_registration(first.shapes[0].vertices, first.shapes[-1].vertices, params.weights)
-    # frames 1..T of the first cycle, stacked (T, N, 2) so each power of M moves them at once
-    vertices = np.stack([shape.vertices for shape in first.shapes[1:]])
-    tangents = np.stack([shape.tangents for shape in first.shapes[1:]])
-    shapes, power = list(first.shapes), net
+    net = rigid_registration(first.vertices[0], first.vertices[-1], params.weights)
+    stacks, power = [(first.vertices, first.tangents)], net
     for _ in range(1, sim.cycles):
-        shapes += map(PositionedShape, *power.move(vertices, tangents))
+        stacks.append(power.move(first.vertices[1:], first.tangents[1:]))  # frames 1..T moved by M^k at once
         power = net.compose(power)
-    return Trajectory(shapes, np.tile(first.step_energies, sim.cycles), params)
+    vertices, tangents = map(np.concatenate, zip(*stacks))
+    return Trajectory(vertices, tangents, np.tile(first.step_energies, sim.cycles), params)
 
 
 def evaluate_gait(gait: GaitEllipse, cfg: ObjectiveConfig) -> tuple[float, float, float]:

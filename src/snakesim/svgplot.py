@@ -11,7 +11,7 @@ import xml.sax.saxutils as _su
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import EmptyInput, NonPositiveInput, ShapeMismatch
 
 __all__ = ["SvgCanvas", "plot_curves", "plot_trajectory", "plot_heatmap"]
 
@@ -32,19 +32,8 @@ class SvgCanvas:
 
     def polyline(self, points, stroke="black", stroke_width=1.5, dash=None, opacity=None):
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-        self._parts.append(
-            f'<polyline points="{coords}"'
-            + self._attrs(
-                {
-                    "fill": "none",
-                    "stroke": stroke,
-                    "stroke-width": stroke_width,
-                    "stroke-dasharray": dash,
-                    "opacity": opacity,
-                }
-            )
-            + "/>"
-        )
+        attrs = {"fill": "none", "stroke": stroke, "stroke-width": stroke_width, "stroke-dasharray": dash, "opacity": opacity}
+        self._parts.append(f'<polyline points="{coords}"' + self._attrs(attrs) + "/>")
 
     def line(self, x1, y1, x2, y2, stroke="black", stroke_width=1.0):
         self._parts.append(
@@ -197,25 +186,27 @@ def plot_curves(path, curves, xlabel="", ylabel="", title="", equal_aspect=False
     return colors
 
 
-def plot_trajectory(path, shapes, com_path=None, title="", stride=None, size=(640, 480)):
-    """Overlay body polylines over time with the CoM path dashed in red."""
-    if not shapes:
-        raise EmptyInput("no shapes to plot")
-    if stride is None:
-        stride = max(1, len(shapes) // 24)
-    drawn = list(shapes[::stride])
-    if shapes[-1] is not drawn[-1]:
-        drawn.append(shapes[-1])
-    all_xy = np.concatenate([s.vertices for s in drawn])
+def plot_trajectory(path, vertices, com_path=None, title="", stride=None, size=(640, 480)):
+    """Overlay every `stride`-th body of a (T, N, 2) vertex stack, and the last, with the CoM path dashed in red."""
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.size == 0:
+        raise EmptyInput("no frames to plot")
+    if vertices.ndim != 3 or vertices.shape[2] != 2:
+        raise ShapeMismatch(f"expected a (T, N, 2) vertex stack, got shape {vertices.shape}")
+    stride = max(1, len(vertices) // 24) if stride is None else stride
+    if stride < 1:
+        raise NonPositiveInput(f"stride must be a positive frame count, got {stride}")
+    drawn = vertices[sorted({*range(0, len(vertices), stride), len(vertices) - 1})]
+    all_xy = drawn.reshape(-1, 2)
     if com_path is not None:
         com_path = np.asarray(com_path, dtype=float)
         all_xy = np.concatenate([all_xy, com_path])
     canvas = SvgCanvas(*size)
     frame = _Frame(canvas, (all_xy[:, 0].min(), all_xy[:, 0].max()), (all_xy[:, 1].min(), all_xy[:, 1].max()), equal_aspect=True)
     frame.draw_axes("x [m]", "y [m]", title)
-    for i, shape in enumerate(drawn):
+    for i, body in enumerate(drawn):
         shade = 0.25 + 0.75 * i / max(1, len(drawn) - 1)
-        pts = frame.map_points(shape.vertices[:, 0], shape.vertices[:, 1])
+        pts = frame.map_points(body[:, 0], body[:, 1])
         canvas.polyline(pts, stroke="#1f77b4", stroke_width=1.2, opacity=f"{shade:.2f}")
     if com_path is not None and len(com_path) > 1:
         pts = frame.map_points(com_path[:, 0], com_path[:, 1])

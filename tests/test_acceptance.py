@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from snakesim.calibration import fit_anisotropy, mocap_from_shapes
+from snakesim.calibration import MocapTrajectory, fit_anisotropy
 from snakesim.dynamics import (
     DissipationParams,
     geometric_momentum,
@@ -143,7 +143,7 @@ def test_criterion_05_calibration_round_trip():
     for eps_true in (0.05, 0.1, 0.1865, 0.4, 0.8):
         params = params_for(eps_true)
         traj = simulate_gait(REFERENCE_GAIT, SIM, params)
-        mocap = mocap_from_shapes(traj.shapes, np.linspace(0.0, 1.0, len(traj.shapes)))
+        mocap = MocapTrajectory(np.linspace(0.0, 1.0, len(traj.vertices)), traj.vertices)
         fit = fit_anisotropy(mocap, params.weights)
         worst = max(worst, abs(fit.epsilon - eps_true))
     elapsed = time.perf_counter() - start

@@ -11,7 +11,6 @@ from snakesim.calibration import (
     com_curve,
     extract_shapes,
     fit_anisotropy,
-    mocap_from_shapes,
     read_mocap_csv,
     read_weights_file,
     resimulate,
@@ -25,7 +24,7 @@ from snakesim.errors import (
     FileFormatError,
     InconsistentMarkerCount,
     InvalidAnisotropy,
-    InvalidWeight,
+    NonPositiveWeight,
     ShapeMismatch,
 )
 from snakesim.geometry import curve_from_curvature, tangents_from_vertices
@@ -43,8 +42,8 @@ def synthetic_mocap(epsilon, gait=None, timesteps=30, edges=9):
     cycle = gait_to_shape_sequence(gait, timesteps, edges, BODY_LENGTH)
     params = DissipationParams.uniform(TOTAL_MASS, edges + 1, epsilon)
     traj = integrate_motion_trajectory(cycle + [cycle[0]], params)
-    times = np.linspace(0.0, 1.0, len(traj.shapes))
-    return mocap_from_shapes(traj.shapes, times), params
+    times = np.linspace(0.0, 1.0, len(traj.vertices))
+    return MocapTrajectory(times, traj.vertices), params
 
 
 class TestExtractShapes:
@@ -157,10 +156,13 @@ class TestComCurve:
         assert np.array_equal(curve.times, mocap.times)
 
     def test_rejects_bad_weights(self):
-        frames = np.zeros((2, 3, 2))
-        mocap = MocapTrajectory(np.arange(2.0), frames)
-        with pytest.raises(InvalidWeight):
-            com_curve(mocap, [1.0, -1.0, 1.0])
+        mocap, params = synthetic_mocap(0.3, timesteps=4, edges=2)
+        traj = resimulate(mocap, params)
+        for bad in (-1.0, 0.0, np.nan, np.inf, -np.inf):
+            weights = [1.0, bad, 1.0]
+            for source in (mocap, traj):
+                with pytest.raises(NonPositiveWeight):
+                    com_curve(source, weights)
         with pytest.raises(InconsistentMarkerCount):
             com_curve(mocap, [1.0, 1.0])
 
@@ -288,7 +290,7 @@ class TestFitAnisotropy:
             shapes.append(curve_from_curvature(serpenoid_curvature(point, gait.xi, stations), BODY_LENGTH))
         params = DissipationParams.uniform(TOTAL_MASS, edges + 1, epsilon)
         traj = integrate_motion_trajectory(shapes, params)
-        mocap = mocap_from_shapes(traj.shapes, 0.02 * np.arange(frames))
+        mocap = MocapTrajectory(0.02 * np.arange(frames), traj.vertices)
         fit = fit_anisotropy(mocap, params.weights)
         assert abs(fit.epsilon - epsilon) < 1e-3
 

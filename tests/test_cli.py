@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from snakesim.calibration import mocap_from_shapes, write_mocap_csv
+from snakesim.calibration import MocapTrajectory, write_mocap_csv
 from snakesim.cli import main, read_calibration_csv, read_cot_csv, read_sweep_csv
 from snakesim.dynamics import (
     DissipationParams,
@@ -44,7 +44,7 @@ def mocap_file(tmp_path):
     params = DissipationParams.uniform(1.38, 7, 0.3)
     traj = integrate_motion_trajectory(cycle + [cycle[0]], params)
     path = tmp_path / "mocap.csv"
-    write_mocap_csv(path, mocap_from_shapes(traj.shapes, np.linspace(0.0, 1.0, len(traj.shapes))))
+    write_mocap_csv(path, MocapTrajectory(np.linspace(0.0, 1.0, len(traj.vertices)), traj.vertices))
     return str(path)
 
 

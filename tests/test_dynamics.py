@@ -11,6 +11,7 @@ from snakesim.dynamics import (
     integrate_motion_trajectory,
     local_tensor,
     position_step,
+    read_step_energies_csv,
     read_trajectory_csv,
     step_energy,
     total_energy,
@@ -196,14 +197,14 @@ class TestGeometricMomentum:
 
     @pytest.mark.parametrize("epsilon", [0.05, 0.1865, 1.0])
     def test_matches_per_vertex_local_tensor_sums(self, epsilon):
-        # the README definition, vertex by vertex, with |t| = 1 +- 0.99e-9 (just
-        # inside the shape's bound): the reference residual must not assume |t| = 1
+        # the README definition, vertex by vertex, with |t| = 1 +- 1e-9 (the
+        # shape's bound): the reference residual must not assume |t| = 1
         rng = np.random.default_rng(int(epsilon * 1e4))
         for _ in range(20):
             n = int(rng.integers(3, 13))
             p = np.cumsum(rng.normal(size=(n, 2)), axis=0)
             q = p + rng.normal(scale=0.1, size=(n, 2))
-            stretch = [1.0 + rng.choice([-0.99e-9, 0.99e-9], size=(n, 1)) for _ in range(2)]
+            stretch = [1.0 + rng.choice([-1e-9, 1e-9], size=(n, 1)) for _ in range(2)]
             prev = PositionedShape(p, tangents_from_vertices(p) * stretch[0])
             nxt = PositionedShape(q, tangents_from_vertices(q) * stretch[1])
             w = rng.uniform(0.1, 2.0, size=n)
@@ -497,7 +498,20 @@ class TestIntegrateMotionTrajectory:
         start = apply_rigid_motion(RigidMotion(1.0, np.array([2.0, 3.0])), shapes[0])
         params = DissipationParams.uniform(1.38, 7, 0.3)
         traj = integrate_motion_trajectory([start] + shapes[1:], params)
-        assert traj.shapes[0] is start
+        assert np.array_equal(traj.vertices[0], start.vertices)
+        assert np.array_equal(traj.tangents[0], start.tangents)
+
+    def test_stacks_are_the_placed_shapes(self):
+        shapes = reference_shapes(timesteps=8, edges=6)
+        params = DissipationParams.uniform(1.38, 7, 0.3)
+        traj = integrate_motion_trajectory(shapes, params)
+        assert traj.vertices.shape == traj.tangents.shape == (9, 7, 2)
+        assert traj.vertices.flags.c_contiguous and traj.tangents.flags.c_contiguous
+        assert len(traj.shapes) == 9 and traj.shapes is traj.shapes
+        for t, shape in enumerate(traj.shapes):
+            assert np.shares_memory(shape.vertices, traj.vertices)
+            assert np.array_equal(shape.vertices, traj.vertices[t])
+            assert np.array_equal(shape.tangents, traj.tangents[t])
 
     def test_equivariance_of_whole_trajectory(self):
         rng = np.random.default_rng(24)
@@ -581,6 +595,58 @@ class TestIntegrateMotionTrajectory:
         assert np.array_equal(info.value.residual, residual)
 
 
+class TestTrajectoryStacks:
+    def stacks(self, frames=4, num_vertices=5):
+        rng = np.random.default_rng(frames)
+        verts = np.cumsum(rng.normal(size=(frames, num_vertices, 2)), axis=1)
+        return verts, tangents_from_vertices(verts)
+
+    def test_accepts_any_input_layout(self):
+        verts, tangs = self.stacks()
+        params = DissipationParams.uniform(1.38, 5, 0.3)
+        traj = Trajectory(np.asfortranarray(verts), tangs.tolist(), [1.0, 2.0, 3.0], params)
+        assert traj.vertices.flags.c_contiguous and traj.tangents.dtype == np.float64
+        assert np.array_equal(traj.vertices, verts) and np.array_equal(traj.tangents, tangs)
+
+    def test_rejects_bad_stacks(self):
+        verts, tangs = self.stacks()
+        params = DissipationParams.uniform(1.38, 5, 0.3)
+        energies = np.zeros(3)
+        non_finite = verts.copy()
+        non_finite[2, 3, 1] = np.nan
+        stretched = tangs.copy()
+        stretched[1, 2] *= 1.0 + 1.01e-9
+        cases = [
+            (verts[0], tangs[0], energies),  # one frame, not a stack
+            (verts[None], tangs[None], energies),  # 4-D
+            (verts, tangs[:, :4], energies),  # tangents of another shape
+            (verts[:, :, :1], tangs[:, :, :1], energies),
+            (verts[:0], tangs[:0], np.zeros(0)),
+            (non_finite, tangs, energies),
+            (verts, stretched, energies),
+            (verts, tangs, np.zeros(4)),  # one energy per step
+            (verts[:, :4], tangs[:, :4], energies),  # 4 vertices, 5 weights
+        ]
+        for v, t, e in cases:
+            with pytest.raises(ShapeMismatch):
+                Trajectory(v, t, e, params)
+
+    def test_unit_tangent_bound_is_one_in_a_billion(self):
+        # |t| = 1 +- 1e-9 exactly passes on every vertex, |t| = 1 +- 1.01e-9 fails on any
+        rng = np.random.default_rng(7)
+        verts, tangs = self.stacks(frames=200, num_vertices=12)
+        params = DissipationParams.uniform(1.38, 12, 0.3)
+        scale = 1.0 + rng.choice([-1e-9, 1e-9], size=(200, 12, 1))
+        Trajectory(verts, tangs * scale, np.zeros(199), params)
+        for t in range(200):
+            PositionedShape(verts[t], tangs[t] * scale[t])
+        for bad in (1.0 - 1.01e-9, 1.0 + 1.01e-9):
+            stretched = tangs.copy()
+            stretched[rng.integers(200), rng.integers(12)] *= bad
+            with pytest.raises(ShapeMismatch):
+                Trajectory(verts, stretched, np.zeros(199), params)
+
+
 class TestTrajectoryFiles:
     def test_round_trip(self, tmp_path):
         shapes = reference_shapes(timesteps=6, edges=5)
@@ -608,6 +674,34 @@ class TestTrajectoryFiles:
             for k, vertex in enumerate(shape.vertices):
                 writer.writerow([t, k, repr(float(vertex[0])), repr(float(vertex[1]))])
         assert path.read_bytes() == reference.getvalue().encode()
+
+    def test_same_bytes_from_trajectory_and_from_its_shapes(self, tmp_path):
+        from snakesim.optimize import SimConfig, simulate_gait
+
+        sim = SimConfig(timesteps=10, edges=5, cycles=3)
+        traj = simulate_gait(REFERENCE_GAIT, sim, DissipationParams.uniform(1.38, sim.num_vertices, 0.3))
+        write_trajectory_csv(tmp_path / "stacks.csv", traj)
+        write_trajectory_csv(tmp_path / "objects.csv", list(traj.shapes))
+        assert (tmp_path / "stacks.csv").read_bytes() == (tmp_path / "objects.csv").read_bytes()
+
+    def test_energy_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(11)
+        energies = np.concatenate([
+            rng.exponential(size=50), 10.0 ** rng.uniform(-320, 300, size=50),
+            [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e22, 1e16, 0.1],
+        ])
+        rng.shuffle(energies)
+        path = tmp_path / "energies.csv"
+        write_step_energies_csv(path, energies)
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(["t", "energy"])
+        for t, value in enumerate(energies, start=1):
+            writer.writerow([t, repr(float(value))])
+        assert path.read_bytes() == reference.getvalue().encode()
+        assert np.array_equal(read_step_energies_csv(path), energies)
+        with pytest.raises(ShapeMismatch):
+            write_step_energies_csv(tmp_path / "table.csv", np.zeros((2, 3)))
 
     def test_header_is_mandatory(self, tmp_path):
         path = tmp_path / "noheader.csv"

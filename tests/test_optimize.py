@@ -19,6 +19,7 @@ from snakesim.optimize import (
     simulate_gait,
     write_report_csv,
 )
+from snakesim.geometry import RigidMotion, rigid_registration
 from snakesim.shapespace import GaitEllipse, gait_to_shape_sequence
 
 REFERENCE_GAIT = GaitEllipse(sigma=1.0, xc=0.0, yc=0.0, theta=0.0, a=3.0, xi=1.0)
@@ -298,6 +299,22 @@ class TestSimulateGait:
                 assert np.array_equal(ours.vertices, ref.vertices)
                 assert np.array_equal(ours.tangents, ref.tangents)
             assert np.array_equal(traj.step_energies, direct.step_energies)
+
+    def test_later_cycles_are_the_first_moved_by_powers_of_its_net_motion(self):
+        timesteps, cycles = 15, 3
+        for seed in (6, 7, 8, 9):
+            cfg = small_cfg(epsilon=0.2, timesteps=timesteps)
+            sim = SimConfig(timesteps, cfg.sim.edges, cfg.sim.body_length, cycles)
+            traj = simulate_gait(random_gait(seed), sim, cfg.params)
+            assert traj.vertices.shape == (cycles * timesteps + 1, sim.num_vertices, 2)
+            net = rigid_registration(traj.vertices[0], traj.vertices[timesteps], cfg.params.weights)
+            power = RigidMotion()
+            for k in range(cycles):
+                for j in range(1, timesteps + 1):
+                    vertices, tangents = power.move(traj.vertices[j], traj.tangents[j])
+                    assert np.array_equal(traj.vertices[k * timesteps + j], vertices)
+                    assert np.array_equal(traj.tangents[k * timesteps + j], tangents)
+                power = net if k == 0 else net.compose(power)
 
     @pytest.mark.parametrize("cycles", [2, 5, 12])
     def test_later_cycles_match_step_by_step_solve(self, cycles):

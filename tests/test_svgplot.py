@@ -3,8 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from snakesim.errors import EmptyInput
-from snakesim.geometry import PositionedShape
+from snakesim.errors import EmptyInput, NonPositiveInput, ShapeMismatch
 from snakesim.svgplot import plot_curves, plot_heatmap, plot_trajectory
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -55,31 +54,49 @@ class TestPlotCurves:
 
 
 class TestPlotTrajectory:
-    def shapes(self, count=5):
-        out = []
-        for t in range(count):
-            verts = np.array([[0.0 + 0.1 * t, 0.0], [0.3 + 0.1 * t, 0.05], [0.6 + 0.1 * t, 0.0]])
-            out.append(PositionedShape.from_vertices(verts))
-        return out
+    def frames(self, count=5):
+        return np.array([[[0.0 + 0.1 * t, 0.0], [0.3 + 0.1 * t, 0.05], [0.6 + 0.1 * t, 0.0]] for t in range(count)])
 
     def test_body_polylines_and_com_overlay(self, tmp_path):
         path = tmp_path / "traj.svg"
-        shapes = self.shapes()
-        com = np.array([[0.3 + 0.1 * t, 0.02] for t in range(len(shapes))])
-        plot_trajectory(path, shapes, com_path=com, title="bodies")
+        frames = self.frames()
+        com = np.array([[0.3 + 0.1 * t, 0.02] for t in range(len(frames))])
+        plot_trajectory(path, frames, com_path=com, title="bodies")
         root = parse(path)
         polylines = list(tags(root, "polyline"))
         dashed = [p for p in polylines if p.get("stroke-dasharray")]
         assert len(dashed) == 1  # the CoM path
         solid = [p for p in polylines if not p.get("stroke-dasharray")]
-        assert len(solid) == len(shapes)
+        assert len(solid) == len(frames)
 
     def test_stride_skips_frames_but_keeps_last(self, tmp_path):
         path = tmp_path / "strided.svg"
-        plot_trajectory(path, self.shapes(9), stride=4)
+        plot_trajectory(path, self.frames(9), stride=4)
         root = parse(path)
         solid = [p for p in tags(root, "polyline") if not p.get("stroke-dasharray")]
         assert len(solid) == 3  # frames 0, 4, 8
+
+    def test_last_frame_drawn_under_any_stride(self, tmp_path):
+        path = tmp_path / "strided.svg"
+        for count in range(1, 12):
+            frames = self.frames(count)
+            for stride in range(1, count + 2):
+                plot_trajectory(path, frames, stride=stride)
+                solid = [p for p in tags(parse(path), "polyline") if not p.get("stroke-dasharray")]
+                drawn = list(range(0, count, stride))
+                if drawn[-1] != count - 1:
+                    drawn.append(count - 1)
+                assert len(solid) == len(drawn)
+                # frames move along +x, so the right end of the last polyline is the largest
+                right_ends = [float(p.get("points").split()[-1].split(",")[0]) for p in solid]
+                assert right_ends[-1] == max(right_ends) and len(set(right_ends)) == len(drawn)
+
+    def test_rejects_a_non_stack_and_a_stride_below_one(self, tmp_path):
+        with pytest.raises(ShapeMismatch):
+            plot_trajectory(tmp_path / "flat.svg", self.frames()[0])
+        for stride in (0, -1):
+            with pytest.raises(NonPositiveInput):
+                plot_trajectory(tmp_path / "strided.svg", self.frames(), stride=stride)
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(EmptyInput):
