@@ -18,6 +18,7 @@ from .errors import (
     InconsistentMarkerCount,
     InvalidAnisotropy,
     InvalidLength,
+    InvalidParameter,
     InvalidWeight,
     NoConvergence,
     NonFiniteLoss,
@@ -35,7 +36,6 @@ from .geometry import (
     apply_rigid_motion,
     center_of_mass,
     curve_from_curvature,
-    rotation_matrix,
     tangents_from_vertices,
 )
 from .shapespace import (
@@ -43,14 +43,10 @@ from .shapespace import (
     GaitEllipse,
     SerpenoidPoint,
     gait_to_shape_sequence,
-    joint_angles_to_shapes,
     read_gait_file,
-    read_joint_angles_csv,
     sample_gait,
     serpenoid_curvature,
-    shapes_to_joint_angles,
     write_gait_file,
-    write_joint_angles_csv,
 )
 from .dynamics import (
     DissipationParams,

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, total_energy
-from .errors import (
-    DimensionMismatch,
-    EmptyInput,
-    FileFormatError,
-    NonPositiveDisplacement,
-    NonPositiveDuration,
-    NonPositiveInput,
-)
+from .errors import EmptyInput, FileFormatError, InvalidParameter, ShapeMismatch
 
 __all__ = [
     "CLASS_LABELS",
@@ -53,20 +46,18 @@ class ClassDisplacements:
 
     def __post_init__(self):
         if self.class_label not in CLASS_LABELS:
-            raise ValueError(
-                f"class label must be one of {CLASS_LABELS}, got {self.class_label!r}"
-            )
+            raise InvalidParameter(f"class label must be one of {CLASS_LABELS}, got {self.class_label!r}")
         values = np.asarray(self.values, dtype=float).ravel()
         if values.size == 0:
             raise EmptyInput("displacement list is empty")
         if not np.all(np.isfinite(values)):
-            raise ValueError("displacements must be finite")
+            raise InvalidParameter("displacements must be finite")
         object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
 class PowerLog:
-    """Logged electrical power over time."""
+    """Logged electrical power over time: finite samples at strictly increasing finite times."""
 
     times: np.ndarray
     power: np.ndarray  # watts
@@ -75,13 +66,15 @@ class PowerLog:
         times = np.asarray(self.times, dtype=float).ravel()
         power = np.asarray(self.power, dtype=float).ravel()
         if len(times) != len(power):
-            raise DimensionMismatch(f"{len(times)} times for {len(power)} power samples")
+            raise ShapeMismatch(f"{len(times)} times for {len(power)} power samples")
         if len(times) == 0:
             raise EmptyInput("power log is empty")
+        if not (np.isfinite(times).all() and np.isfinite(power).all()):
+            raise FileFormatError("power log times and samples must be finite")
         if np.any(np.diff(times) <= 0):
-            raise ValueError("power log times must be strictly increasing")
+            raise FileFormatError("power log times must be strictly increasing")
         if np.any(power < 0):
-            raise NonPositiveInput("power must be nonnegative")
+            raise InvalidParameter("power must be nonnegative")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "power", power)
 
@@ -94,9 +87,7 @@ def performance_ratios(cls: ClassDisplacements) -> np.ndarray:
     """Matrix of pairwise displacement ratios, entry (i, j) = v_i / v_j."""
     v = cls.values
     if np.any(v <= 0):
-        raise NonPositiveDisplacement(
-            f"{cls.class_label}: ratios need strictly positive displacements"
-        )
+        raise InvalidParameter(f"{cls.class_label}: ratios need strictly positive displacements")
     return np.outer(v, 1.0 / v)
 
 
@@ -109,7 +100,7 @@ def ratio_quotients(d_x: np.ndarray, d_y: np.ndarray) -> tuple[np.ndarray, float
     d_x = np.asarray(d_x, dtype=float)
     d_y = np.asarray(d_y, dtype=float)
     if d_x.shape != d_y.shape:
-        raise DimensionMismatch(f"ratio matrices differ in shape: {d_x.shape} vs {d_y.shape}")
+        raise ShapeMismatch(f"ratio matrices differ in shape: {d_x.shape} vs {d_y.shape}")
     quotients = d_x / d_y
     off = ~np.eye(len(quotients), dtype=bool)
     if np.any(off):
@@ -130,10 +121,10 @@ def trial_stats(displacements, sample: bool = False) -> tuple[float, float]:
 
 
 def cost_of_transport(power_mean: float, mass: float, gravity: float, velocity: float) -> float:
-    """Dimensionless transport cost P / (m g v)."""
+    """Dimensionless transport cost P / (m g v) of finite positive inputs."""
     for name, value in (("power", power_mean), ("mass", mass), ("gravity", gravity), ("velocity", velocity)):
-        if value <= 0:
-            raise NonPositiveInput(f"{name} must be positive, got {value}")
+        if not 0 < value < np.inf:
+            raise InvalidParameter(f"{name} must be finite and positive, got {value}")
     return power_mean / (mass * gravity * velocity)
 
 
@@ -143,8 +134,8 @@ def simulated_power_proxy(traj: Trajectory, cycle_duration: float) -> float:
     Reported values based on this are proxies, not measurements, and are
     flagged as such wherever they appear.
     """
-    if cycle_duration <= 0:
-        raise NonPositiveDuration(f"duration must be positive, got {cycle_duration}")
+    if not cycle_duration > 0:
+        raise InvalidParameter(f"duration must be positive, got {cycle_duration}")
     return total_energy(traj) / cycle_duration
 
 

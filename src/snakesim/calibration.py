@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .dynamics import DissipationParams, Trajectory, integrate_motion_trajectory
-from .errors import EmptyCurve, FileFormatError, InconsistentMarkerCount, InvalidAnisotropy
+from .errors import EmptyInput, FileFormatError, InvalidAnisotropy, ShapeMismatch
 from .geometry import PositionedShape, _as_points, center_of_mass, shapes_from_vertices
 from .geometry import tangents_from_vertices  # noqa: F401 -- bench/workloads.py traces the shape layer here
 
@@ -50,13 +50,9 @@ class MocapTrajectory:
         times = np.asarray(self.times, dtype=float).ravel()
         frames = np.asarray(self.frames, dtype=float)
         if frames.ndim != 3 or frames.shape[2] != 2:
-            raise InconsistentMarkerCount(
-                f"frames must be (T, N, 2), got shape {frames.shape}"
-            )
+            raise ShapeMismatch(f"frames must be (T, N, 2), got shape {frames.shape}")
         if len(times) != frames.shape[0]:
-            raise InconsistentMarkerCount(
-                f"{len(times)} timestamps for {frames.shape[0]} frames"
-            )
+            raise ShapeMismatch(f"{len(times)} timestamps for {frames.shape[0]} frames")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(frames))):
             raise FileFormatError("timestamps and marker positions must be finite")
         if len(times) and np.any(np.diff(times) <= 0):
@@ -80,7 +76,7 @@ class ComCurve:
         times = np.asarray(self.times, dtype=float).ravel()
         positions = _as_points(np.atleast_2d(self.positions))
         if len(times) != len(positions):
-            raise EmptyCurve(f"{len(times)} times for {len(positions)} positions")
+            raise ShapeMismatch(f"{len(times)} times for {len(positions)} positions")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "positions", positions)
 
@@ -118,7 +114,7 @@ def extract_shapes(mocap: MocapTrajectory, target_steps: int | None = None) -> l
     always keeping the first and last frame.
     """
     if mocap.num_markers < 2:
-        raise InconsistentMarkerCount("need at least 2 markers per frame")
+        raise ShapeMismatch("need at least 2 markers per frame")
     frames = mocap.frames
     if target_steps is not None and target_steps < len(frames):
         idx = np.round(np.linspace(0, len(frames) - 1, target_steps)).astype(int)
@@ -136,12 +132,9 @@ def com_curve(source, weights, times=None) -> ComCurve:
 
     Weights that are not finite and strictly positive raise NonPositiveWeight.
     """
-    w = np.asarray(weights, dtype=float).ravel()
     if isinstance(source, MocapTrajectory):
-        if len(w) != source.num_markers:
-            raise InconsistentMarkerCount(f"{len(w)} weights for {source.num_markers} markers")
-        return ComCurve(source.times, center_of_mass(source.frames, w))
-    path = source.com_path(w)
+        return ComCurve(source.times, center_of_mass(source.frames, weights))
+    path = source.com_path(weights)
     if times is None:
         times = np.arange(len(path), dtype=float)
     return ComCurve(times, path)
@@ -154,7 +147,7 @@ def rms_error(a: ComCurve, b: ComCurve) -> float:
     one onto the shorter one's time grid.
     """
     if len(a.times) == 0 or len(b.times) == 0:
-        raise EmptyCurve("cannot compare empty curves")
+        raise EmptyInput("cannot compare empty curves")
     if len(a.times) != len(b.times):
         if len(a.times) > len(b.times):
             a, b = b, a

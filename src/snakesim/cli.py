@@ -30,7 +30,7 @@ from .dynamics import (
     write_step_energies_csv,
     write_trajectory_csv,
 )
-from .errors import NoConvergence, SnakesimError
+from .errors import InvalidParameter, NoConvergence, SnakesimError
 from .optimize import (
     DEFAULT_BOUNDS,
     DISSIPATION_COEFFICIENT_GRID,
@@ -92,16 +92,11 @@ class RunConfig:
     out: str
 
     def __post_init__(self):
-        if self.edges < 2:
-            raise ValueError(f"need at least 2 edges (3 vertices), got {self.edges}")
-        if self.timesteps < 2:
-            raise ValueError(f"need at least 2 timesteps, got {self.timesteps}")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.body_length <= 0 or self.mass <= 0:
-            raise ValueError("body length and mass must be positive")
-        if self.cycles < 1 or self.jobs < 1:
-            raise ValueError("cycles and jobs must be >= 1")
+        if self.jobs < 1:
+            raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
+        # the objects handed out check the rest; mass is checked even where weights replace it
+        self.sim_config()
+        DissipationParams.uniform(self.mass, self.num_vertices, self.epsilon)
 
     @property
     def num_vertices(self) -> int:
@@ -109,10 +104,6 @@ class RunConfig:
 
     def dissipation_params(self) -> DissipationParams:
         if self.weights is not None:
-            if len(self.weights) != self.num_vertices:
-                raise ValueError(
-                    f"{len(self.weights)} weights for {self.num_vertices} vertices"
-                )
             return DissipationParams(self.weights, self.epsilon)
         return DissipationParams.uniform(self.mass, self.num_vertices, self.epsilon)
 
@@ -343,7 +334,7 @@ def cmd_resim(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = build_config(args)
     # flag consistency first, so nothing is written and then abandoned
-    if args.power and (args.duration is None or args.duration <= 0):
+    if args.power and (args.duration is None or not args.duration > 0):
         raise SnakesimError("--power requires a positive --duration (active gait seconds)")
     classes = []
     for spec_arg in args.classes:

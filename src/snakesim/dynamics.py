@@ -27,9 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FileFormatError, InvalidAnisotropy, InvalidWeight, NoConvergence, ShapeMismatch
-from .geometry import PositionedShape, RigidMotion, _check_frames, apply_rigid_motion, center_of_mass, complex_view
-from .geometry import rigid_registration, shapes_from_vertices
+from .errors import FileFormatError, InvalidAnisotropy, InvalidParameter, NoConvergence, NonPositiveWeight, ShapeMismatch
+from .geometry import PositionedShape, RigidMotion, _check_frames, _shape_views, _weights, apply_rigid_motion
+from .geometry import center_of_mass, complex_view, rigid_registration, shapes_from_vertices
 
 __all__ = [
     "DissipationParams",
@@ -59,17 +59,17 @@ class DissipationParams:
     epsilon: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if len(w) == 0 or not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise InvalidWeight("weights must be a nonempty finite strictly positive vector")
+        object.__setattr__(self, "weights", _weights(self.weights))
         if not 0.0 < self.epsilon <= 1.0:
             raise InvalidAnisotropy(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        object.__setattr__(self, "weights", w)
 
     @classmethod
     def uniform(cls, total_mass: float, num_vertices: int, epsilon: float) -> "DissipationParams":
-        if total_mass <= 0:
-            raise InvalidWeight(f"total mass must be positive, got {total_mass}")
+        """`num_vertices` equal weights that sum to `total_mass`."""
+        if num_vertices < 1:
+            raise InvalidParameter(f"need at least one vertex, got {num_vertices}")
+        if not 0.0 < total_mass < math.inf:  # reported as the mass, not as the weights made from it
+            raise NonPositiveWeight(f"total mass must be finite and positive, got {total_mass}")
         return cls(np.full(num_vertices, total_mass / num_vertices), epsilon)
 
 
@@ -105,7 +105,7 @@ class Trajectory:
     @cached_property
     def shapes(self) -> tuple[PositionedShape, ...]:
         """The frames as `PositionedShape` objects sharing memory with the stacks, built on first use."""
-        return tuple(map(PositionedShape, self.vertices, self.tangents))
+        return tuple(_shape_views(self.vertices, self.tangents))
 
     def com_path(self, weights=None) -> np.ndarray:
         """(T+1, 2) weighted center-of-mass positions; defaults to the dissipation weights."""
@@ -119,10 +119,7 @@ class Trajectory:
 
 def local_tensor(tangent, w: float, epsilon: float) -> np.ndarray:
     """Symmetric positive definite 2x2 dissipation tensor for one vertex."""
-    if w <= 0:
-        raise InvalidWeight(f"weight must be positive, got {w}")
-    if not 0.0 < epsilon <= 1.0:
-        raise InvalidAnisotropy(f"epsilon must lie in (0, 1], got {epsilon}")
+    DissipationParams([w], epsilon)  # checks the weight and the ratio
     t = np.asarray(tangent, dtype=float)
     return w * (np.eye(2) + (epsilon - 1.0) * np.outer(t, t))
 
@@ -405,9 +402,14 @@ def read_trajectory_csv(path) -> list[PositionedShape]:
                 x, y = float(row[2]), float(row[3])
             except (ValueError, IndexError) as exc:
                 raise FileFormatError(f"{path}: bad trajectory row {row!r}") from exc
-            frames.setdefault(t, {})[k] = (x, y)
+            frame = frames.setdefault(t, {})
+            if k in frame:
+                raise FileFormatError(f"{path}: second row for frame {t}, vertex {k}")
+            frame[k] = (x, y)
+    if sorted(frames) != list(range(len(frames))):
+        raise FileFormatError(f"{path}: frame indices must run 0, 1, 2, ... without gaps")
     stack = []
-    for t in sorted(frames):
+    for t in range(len(frames)):
         frame = frames[t]
         if sorted(frame) != list(range(len(frame))):
             raise FileFormatError(f"{path}: frame {t} skips a vertex index")

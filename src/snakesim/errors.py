@@ -1,4 +1,4 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package: one class per kind of fault."""
 
 
 class SnakesimError(Exception):
@@ -9,24 +9,24 @@ class ZeroLengthEdge(SnakesimError):
     """Two consecutive polyline vertices coincide."""
 
 
-class InvalidLength(SnakesimError):
-    """A length (body length, edge length, duration grid) is not positive."""
-
-
 class NonPositiveWeight(SnakesimError):
-    """A vertex weight is zero or negative."""
+    """A vertex weight is missing, zero, negative or not finite."""
 
 
 class ShapeMismatch(SnakesimError):
-    """Two shapes (or a shape and a weight vector) have incompatible sizes."""
+    """Arrays that must agree in size or layout (shapes, weights, frames, matrices) do not."""
 
 
 class InvalidAnisotropy(SnakesimError):
     """Anisotropy ratio outside (0, 1]."""
 
 
-class InvalidWeight(SnakesimError):
-    """Dissipation weight is zero or negative."""
+class InvalidParameter(SnakesimError, ValueError):
+    """A scalar setting (length, count, duration, bound, power, displacement, label) is out of range."""
+
+
+class EmptyInput(SnakesimError):
+    """A statistic or a curve was requested from an empty collection."""
 
 
 class NoConvergence(SnakesimError):
@@ -36,37 +36,6 @@ class NoConvergence(SnakesimError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-
-
-DegenerateJacobian = NoConvergence  # old name, kept for imports: every failed step raises NoConvergence
-
-
-class InconsistentMarkerCount(SnakesimError):
-    """Motion-capture frames disagree on the number of markers."""
-
-
-class EmptyCurve(SnakesimError):
-    """A center-of-mass curve has no samples."""
-
-
-class DimensionMismatch(SnakesimError):
-    """Two matrices have different shapes."""
-
-
-class EmptyInput(SnakesimError):
-    """A statistic was requested for an empty collection."""
-
-
-class NonPositiveInput(SnakesimError):
-    """An input that must be strictly positive is not."""
-
-
-class NonPositiveDuration(SnakesimError):
-    """A duration that must be strictly positive is not."""
-
-
-class NonPositiveDisplacement(SnakesimError):
-    """Performance ratios require strictly positive displacements."""
 
 
 class NonFiniteLoss(SnakesimError):
@@ -80,3 +49,10 @@ class NonFiniteLoss(SnakesimError):
 class FileFormatError(SnakesimError):
     """A data file does not match its expected format."""
 
+
+# old names, kept for imports: each is the class now raised for its fault
+InvalidWeight = NonPositiveWeight
+DimensionMismatch = InconsistentMarkerCount = ShapeMismatch
+EmptyCurve = EmptyInput
+InvalidLength = NonPositiveInput = NonPositiveDuration = NonPositiveDisplacement = InvalidParameter
+DegenerateJacobian = NoConvergence

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidLength, NonPositiveWeight, ShapeMismatch, ZeroLengthEdge
+from .errors import InvalidParameter, NonPositiveWeight, ShapeMismatch, ZeroLengthEdge
 
 _COINCIDENT_TOL = 1e-12
 
@@ -36,13 +36,13 @@ def _turn(rotor: complex, points, shift: complex = 0.0) -> np.ndarray:
     return (rotor * complex_view(_as_points(points, stacked=True)) + shift)[..., None].view(float)
 
 
-def _weights(weights, count: int) -> np.ndarray:
-    """`count` finite strictly positive weights as a float vector."""
+def _weights(weights, count: int | None = None) -> np.ndarray:
+    """A nonempty float vector of finite strictly positive weights, `count` of them if given."""
     w = np.asarray(weights, dtype=float).ravel()
-    if len(w) != count:
+    if count is not None and len(w) != count:
         raise ShapeMismatch(f"{len(w)} weights for {count} vertices")
-    if not ((w > 0.0) & (w < math.inf)).all():
-        raise NonPositiveWeight("all weights must be finite and strictly positive")
+    if not (len(w) and ((w > 0.0) & (w < math.inf)).all()):
+        raise NonPositiveWeight("weights must be a nonempty vector of finite strictly positive numbers")
     return w
 
 
@@ -66,15 +66,9 @@ def _check_frames(vertices, tangents, stacked: bool = False) -> tuple[np.ndarray
     return verts, tangs
 
 
-def rotation_matrix(angle: float) -> np.ndarray:
-    """2x2 rotation by `angle` radians."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 @dataclass(frozen=True)
 class RigidMotion:
-    """Planar rigid transform x -> A x + b with A a 2x2 rotation."""
+    """Planar rigid transform z -> e^{i angle} z + b on the points z = x + iy."""
 
     angle: float = 0.0
     translation: np.ndarray = field(default_factory=lambda: np.zeros(2))
@@ -84,14 +78,6 @@ class RigidMotion:
         if t.shape != (2,):
             raise ShapeMismatch(f"translation must be a 2-vector, got shape {t.shape}")
         object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "RigidMotion":
-        return cls()
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return rotation_matrix(self.angle)
 
     @property
     def rotor(self) -> complex:
@@ -108,10 +94,12 @@ class RigidMotion:
 
     def compose(self, other: "RigidMotion") -> "RigidMotion":
         """Motion equivalent to applying `other` first, then `self`."""
-        return RigidMotion(self.angle + other.angle, self.matrix @ other.translation + self.translation)
+        b = self.rotor * complex(*other.translation) + complex(*self.translation)
+        return RigidMotion(self.angle + other.angle, (b.real, b.imag))
 
     def inverse(self) -> "RigidMotion":
-        return RigidMotion(-self.angle, -(rotation_matrix(-self.angle) @ self.translation))
+        b = -(self.rotor.conjugate() * complex(*self.translation))
+        return RigidMotion(-self.angle, (b.real, b.imag))
 
 
 @dataclass(frozen=True)
@@ -169,9 +157,22 @@ def tangents_from_vertices(vertices) -> np.ndarray:
 
 
 def shapes_from_vertices(vertices) -> list[PositionedShape]:
-    """One shape per polyline of a (T, N, 2) vertex stack, tangents computed in one pass."""
+    """One shape per polyline of a (T, N, 2) vertex stack, tangents computed and checked in one pass."""
     verts = _as_points(vertices, stacked=True)
-    return [PositionedShape(v, t) for v, t in zip(verts, tangents_from_vertices(verts))]
+    return _shape_views(*_check_frames(verts, tangents_from_vertices(verts), stacked=True))
+
+
+def _shape_views(vertices: np.ndarray, tangents: np.ndarray) -> list[PositionedShape]:
+    """Shapes sharing memory with (T, N, 2) stacks that `_check_frames(..., stacked=True)` passed.
+
+    The frames are not checked again: each shape is filled in without `__post_init__`.
+    """
+    shapes = []
+    for verts, tangs in zip(vertices, tangents):
+        shape = object.__new__(PositionedShape)
+        shape.__dict__.update(vertices=verts, tangents=tangs)
+        shapes.append(shape)
+    return shapes
 
 
 def apply_rigid_motion(motion: RigidMotion, shape: PositionedShape) -> PositionedShape:
@@ -197,7 +198,8 @@ def rigid_registration(source, target, weights) -> RigidMotion:
     sin_sum = float(np.sum(weights * (sc[:, 0] * dc[:, 1] - sc[:, 1] * dc[:, 0])))
     cos_sum = float(np.sum(weights * (sc[:, 0] * dc[:, 0] + sc[:, 1] * dc[:, 1])))
     angle = 0.0 if sin_sum == 0.0 and cos_sum == 0.0 else float(np.arctan2(sin_sum, cos_sum))
-    return RigidMotion(angle, dst_bar - rotation_matrix(angle) @ src_bar)
+    b = complex(*dst_bar) - RigidMotion(angle).rotor * complex(*src_bar)
+    return RigidMotion(angle, (b.real, b.imag))
 
 
 def curve_from_curvature(curvature_samples, body_length: float) -> PositionedShape:
@@ -220,27 +222,18 @@ def vertices_from_curvature(curvature, body_length: float) -> np.ndarray:
 
     Each row of samples is reconstructed as in `curve_from_curvature`.
     """
-    if body_length <= 0:
-        raise InvalidLength(f"body length must be positive, got {body_length}")
+    if not body_length > 0:
+        raise InvalidParameter(f"body length must be positive, got {body_length}")
     kappa = np.asarray(curvature, dtype=float)
     m = kappa.shape[-1] if kappa.ndim else 0
     if m < 1:
-        raise InvalidLength("need at least one curvature sample")
-    step = 1.0 / m
+        raise InvalidParameter("need at least one curvature sample")
+    step, edge_length = 1.0 / m, body_length / m
+    # edge i of each curve has the heading headings[..., i]
     headings = np.empty_like(kappa)
     headings[..., 0] = 0.5 * step * kappa[..., 0]
     headings[..., 1:] = headings[..., :1] + step * np.cumsum(kappa[..., 1:], axis=-1)
-    return polyline_from_headings(headings, body_length / m)
-
-
-def polyline_from_headings(headings, edge_length: float) -> np.ndarray:
-    """(..., M + 1, 2) polyline vertices from (..., M) edge headings.
-
-    Each polyline starts at the origin; its edge i has length `edge_length`
-    and heading `headings[..., i]`.
-    """
-    headings = np.asarray(headings, dtype=float)
-    verts = np.zeros(headings.shape[:-1] + (headings.shape[-1] + 1, 2))
+    verts = np.zeros(kappa.shape[:-1] + (m + 1, 2))
     verts[..., 1:, 0] = edge_length * np.cumsum(np.cos(headings), axis=-1)
     verts[..., 1:, 1] = edge_length * np.cumsum(np.sin(headings), axis=-1)
     return verts

@@ -17,9 +17,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dynamics import DissipationParams, Trajectory, integrate_motion_trajectory, total_energy
-from .errors import FileFormatError, NoConvergence, NonFiniteLoss, ShapeMismatch
+from .errors import FileFormatError, InvalidParameter, NoConvergence, NonFiniteLoss, ShapeMismatch
 from .geometry import rigid_registration
-from .shapespace import GaitEllipse, gait_to_shape_sequence
+from .shapespace import GaitEllipse, _check_discretization, gait_to_shape_sequence
 
 __all__ = [
     "GaitBounds",
@@ -61,12 +61,12 @@ class GaitBounds:
     def __post_init__(self):
         for name in _PARAM_NAMES:
             lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name}: lower bound {lo} exceeds upper bound {hi}")
+            if not -np.inf < lo <= hi < np.inf:
+                raise InvalidParameter(f"{name}: bounds must be finite, lower <= upper, got ({lo}, {hi})")
         if self.sigma[0] < 0.0 or self.sigma[1] > 1.0:
-            raise ValueError(f"sigma bounds must lie in [0, 1], got {self.sigma}")
+            raise InvalidParameter(f"sigma bounds must lie in [0, 1], got {self.sigma}")
         if self.a[0] <= 0.0 or self.xi[0] <= 0.0:
-            raise ValueError("a and xi lower bounds must be positive")
+            raise InvalidParameter("a and xi lower bounds must be positive")
 
     def as_arrays(self):
         lo = np.array([getattr(self, n)[0] for n in _PARAM_NAMES])
@@ -92,10 +92,9 @@ class SimConfig:
     cycles: int = 1
 
     def __post_init__(self):
-        if self.timesteps < 2 or self.edges < 2:
-            raise ValueError("need timesteps >= 2 and edges >= 2")
-        if self.body_length <= 0 or self.cycles < 1:
-            raise ValueError("body_length must be positive and cycles >= 1")
+        _check_discretization(self.timesteps, self.edges, self.body_length)
+        if self.cycles < 1:
+            raise InvalidParameter(f"need cycles >= 1, got {self.cycles}")
 
     @property
     def num_vertices(self) -> int:
@@ -112,10 +111,8 @@ class ObjectiveConfig:
     fixed_xi: float | None = None
 
     def __post_init__(self):
-        if self.dissipation_coefficient < 0:
-            raise ValueError(
-                f"dissipation coefficient must be >= 0, got {self.dissipation_coefficient}"
-            )
+        if not self.dissipation_coefficient >= 0:
+            raise InvalidParameter(f"dissipation coefficient must be >= 0, got {self.dissipation_coefficient}")
         if len(self.params.weights) != self.sim.num_vertices:
             raise ShapeMismatch(
                 f"{len(self.params.weights)} weights for {self.sim.num_vertices} vertices"
@@ -208,14 +205,14 @@ def optimize_gait(
     fails, the NoConvergence it raises carries the evaluations made before it
     as `history`.
     """
+    if max_evaluations < 1:
+        raise InvalidParameter(f"max_evaluations must be >= 1, got {max_evaluations}")
     lo, hi = bounds.as_arrays()
     x_seed = np.clip(_gait_vector(seed_gait), lo, hi)
     if cfg.fixed_xi is not None:
         xi_lo, xi_hi = bounds.xi
         if not xi_lo <= cfg.fixed_xi <= xi_hi:
-            raise ValueError(
-                f"fixed xi {cfg.fixed_xi} outside bounds [{xi_lo}, {xi_hi}]"
-            )
+            raise InvalidParameter(f"fixed xi {cfg.fixed_xi} outside bounds [{xi_lo}, {xi_hi}]")
         x_seed[_PARAM_NAMES.index("xi")] = cfg.fixed_xi
     width = hi - lo
     free = width > 0

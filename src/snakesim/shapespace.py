@@ -1,4 +1,4 @@
-"""Serpenoid shape space, elliptical gaits, and joint-angle conversion.
+"""Serpenoid shape space, elliptical gaits, and their discretization into body shapes.
 
 A body shape is described by the curvature profile
 kappa(s) = w1*sin(2*pi*xi*s) + w2*cos(2*pi*xi*s) with s in [0, 1] measuring
@@ -9,20 +9,13 @@ per body length.  A gait is a closed ellipse traced in that plane.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FileFormatError, InvalidLength, ShapeMismatch
-from .geometry import (  # curve_from_curvature stays importable here: the per-layer benchmark wraps it
-    PositionedShape,
-    complex_view,
-    curve_from_curvature,
-    polyline_from_headings,
-    shapes_from_vertices,
-    vertices_from_curvature,
-)
+from .errors import FileFormatError, InvalidParameter
+from .geometry import PositionedShape, shapes_from_vertices, vertices_from_curvature
+from .geometry import curve_from_curvature  # noqa: F401 -- the per-layer benchmark wraps it here
 
 __all__ = [
     "SerpenoidPoint",
@@ -30,12 +23,8 @@ __all__ = [
     "serpenoid_curvature",
     "sample_gait",
     "gait_to_shape_sequence",
-    "shapes_to_joint_angles",
-    "joint_angles_to_shapes",
     "read_gait_file",
     "write_gait_file",
-    "read_joint_angles_csv",
-    "write_joint_angles_csv",
 ]
 
 
@@ -67,15 +56,15 @@ class GaitEllipse:
         for name in ("sigma", "xc", "yc", "theta", "a", "xi"):
             value = float(getattr(self, name))
             if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise InvalidParameter(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
         if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
+            raise InvalidParameter(f"sigma must lie in [0, 1], got {self.sigma}")
         if self.a < 0:
             # a == 0 is the degenerate single-point loop (constant shape)
-            raise ValueError(f"semi-axis a must be nonnegative, got {self.a}")
+            raise InvalidParameter(f"semi-axis a must be nonnegative, got {self.a}")
         if self.xi <= 0:
-            raise ValueError(f"spatial frequency xi must be positive, got {self.xi}")
+            raise InvalidParameter(f"spatial frequency xi must be positive, got {self.xi}")
 
     def with_xi(self, xi: float) -> "GaitEllipse":
         return replace(self, xi=xi)
@@ -99,6 +88,14 @@ def sample_gait(ellipse: GaitEllipse, t) -> SerpenoidPoint:
     return SerpenoidPoint(c * u - s * v + ellipse.xc, s * u + c * v + ellipse.yc)
 
 
+def _check_discretization(timesteps: int, edges: int, body_length: float):
+    """Reject fewer than 2 timesteps per cycle or 2 body edges, or a body length that is not positive."""
+    if timesteps < 2 or edges < 2:
+        raise InvalidParameter(f"need timesteps >= 2 and edges >= 2, got {timesteps} and {edges}")
+    if not body_length > 0:
+        raise InvalidParameter(f"body length must be positive, got {body_length}")
+
+
 def gait_to_shape_sequence(
     ellipse: GaitEllipse, timesteps: int, edges: int, body_length: float
 ) -> list[PositionedShape]:
@@ -109,10 +106,7 @@ def gait_to_shape_sequence(
     stations s = i/edges expected by curve_from_curvature; all timesteps are
     sampled and reconstructed in one array pass.
     """
-    if timesteps < 2:
-        raise ValueError(f"need at least 2 timesteps, got {timesteps}")
-    if edges < 2:
-        raise ValueError(f"need at least 2 edges, got {edges}")
+    _check_discretization(timesteps, edges, body_length)
     stations = np.arange(edges) / edges
     points = sample_gait(ellipse, np.arange(timesteps) / timesteps)
     # (timesteps, edges) curvature: one row of station samples per timestep
@@ -121,28 +115,10 @@ def gait_to_shape_sequence(
     return shapes_from_vertices(vertices_from_curvature(kappa, body_length))
 
 
-def shapes_to_joint_angles(shapes: list[PositionedShape]) -> np.ndarray:
-    """Signed interior turning angles, arg(edge k+1 * conj(edge k)): a row per shape, a column per joint."""
-    if not shapes:
-        return np.zeros((0, 0))
-    if len({shape.num_vertices for shape in shapes}) != 1:
-        raise ShapeMismatch("all shapes must have the same vertex count")
-    edges = np.diff(complex_view(np.stack([shape.vertices for shape in shapes])), axis=-1)
-    return np.angle(edges[:, 1:] * edges[:, :-1].conjugate())
-
-
-def joint_angles_to_shapes(angles, edge_length: float) -> list[PositionedShape]:
-    """Canonical shapes (origin start, first edge along +x) from turning angles."""
-    if edge_length <= 0:
-        raise InvalidLength(f"edge length must be positive, got {edge_length}")
-    mat = np.atleast_2d(np.asarray(angles, dtype=float))
-    headings = np.concatenate([np.zeros((len(mat), 1)), np.cumsum(mat, axis=1)], axis=1)
-    return shapes_from_vertices(polyline_from_headings(headings, edge_length))
-
-
 # -- file formats -------------------------------------------------------------
 
 GAIT_KEYS = ("sigma", "xc", "yc", "theta", "a", "xi")
+_META_KEYS = ("timesteps", "edges", "body_length")
 
 
 def write_gait_file(path, ellipse: GaitEllipse, timesteps=None, edges=None, body_length=None):
@@ -167,15 +143,18 @@ def read_gait_file(path) -> tuple[GaitEllipse, dict]:
             if "=" not in line:
                 raise FileFormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in GAIT_KEYS + _META_KEYS:
+                raise FileFormatError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key.strip()] = float(value)
+                values[key] = float(value)
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{lineno}: bad number {value.strip()!r}") from exc
     missing = [key for key in GAIT_KEYS if key not in values]
     if missing:
         raise FileFormatError(f"{path}: missing gait keys {missing}")
     ellipse = GaitEllipse(*(values.pop(key) for key in GAIT_KEYS))
-    meta = {"timesteps": None, "edges": None, "body_length": None}
+    meta = dict.fromkeys(_META_KEYS)
     for key in meta:
         if key not in values:
             continue
@@ -186,26 +165,3 @@ def read_gait_file(path) -> tuple[GaitEllipse, dict]:
             value = int(value)
         meta[key] = value
     return ellipse, meta
-
-
-def write_joint_angles_csv(path, angles):
-    """One CSV row of radians per timestep, no header."""
-    mat = np.atleast_2d(np.asarray(angles, dtype=float))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        for row in mat:
-            writer.writerow([repr(float(value)) for value in row])
-
-
-def read_joint_angles_csv(path) -> np.ndarray:
-    try:
-        with open(path, newline="") as handle:
-            rows = [[float(cell) for cell in row] for row in csv.reader(handle) if row]
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: non-numeric joint angle") from exc
-    if not rows:
-        raise FileFormatError(f"{path}: empty joint-angle file")
-    widths = {len(row) for row in rows}
-    if len(widths) != 1:
-        raise FileFormatError(f"{path}: rows have inconsistent widths {sorted(widths)}")
-    return np.asarray(rows)

@@ -11,7 +11,7 @@ import xml.sax.saxutils as _su
 
 import numpy as np
 
-from .errors import EmptyInput, NonPositiveInput, ShapeMismatch
+from .errors import EmptyInput, InvalidParameter, ShapeMismatch
 
 __all__ = ["SvgCanvas", "plot_curves", "plot_trajectory", "plot_heatmap"]
 
@@ -195,7 +195,7 @@ def plot_trajectory(path, vertices, com_path=None, title="", stride=None, size=(
         raise ShapeMismatch(f"expected a (T, N, 2) vertex stack, got shape {vertices.shape}")
     stride = max(1, len(vertices) // 24) if stride is None else stride
     if stride < 1:
-        raise NonPositiveInput(f"stride must be a positive frame count, got {stride}")
+        raise InvalidParameter(f"stride must be a positive frame count, got {stride}")
     drawn = vertices[sorted({*range(0, len(vertices), stride), len(vertices) - 1})]
     all_xy = drawn.reshape(-1, 2)
     if com_path is not None:

@@ -18,14 +18,7 @@ from snakesim.analysis import (
     write_power_csv,
 )
 from snakesim.dynamics import DissipationParams, integrate_motion_trajectory
-from snakesim.errors import (
-    DimensionMismatch,
-    EmptyInput,
-    FileFormatError,
-    NonPositiveDisplacement,
-    NonPositiveDuration,
-    NonPositiveInput,
-)
+from snakesim.errors import EmptyInput, FileFormatError, InvalidParameter, ShapeMismatch
 from snakesim.geometry import PositionedShape
 
 
@@ -34,13 +27,13 @@ class TestClassDisplacements:
         assert CLASS_LABELS == ("Exp", "Sim", "Resim")
         for label in CLASS_LABELS:
             ClassDisplacements(label, [0.1, 0.2])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             ClassDisplacements("Measured", [0.1])
 
     def test_values_checked(self):
         with pytest.raises(EmptyInput):
             ClassDisplacements("Exp", [])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             ClassDisplacements("Exp", [0.1, float("nan")])
 
 
@@ -62,9 +55,9 @@ class TestPerformanceRatios:
             assert np.allclose(np.diag(delta), 1.0)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(NonPositiveDisplacement):
+        with pytest.raises(InvalidParameter):
             performance_ratios(ClassDisplacements("Exp", [0.5, 0.0]))
-        with pytest.raises(NonPositiveDisplacement):
+        with pytest.raises(InvalidParameter):
             performance_ratios(ClassDisplacements("Exp", [0.5, -0.1]))
 
 
@@ -99,7 +92,7 @@ class TestRatioQuotients:
         assert np.allclose(xi_xy, 1.0 / xi_yx)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             ratio_quotients(np.ones((2, 2)), np.ones((3, 3)))
 
 
@@ -153,10 +146,11 @@ class TestCostOfTransport:
     def test_nonpositive_inputs_rejected(self):
         good = (5.0, 1.38, 9.81, 0.1)
         for k in range(4):
-            args = list(good)
-            args[k] = 0.0
-            with pytest.raises(NonPositiveInput):
-                cost_of_transport(*args)
+            for bad in (0.0, -1.0, np.nan, np.inf):
+                args = list(good)
+                args[k] = bad
+                with pytest.raises(InvalidParameter):
+                    cost_of_transport(*args)
 
 
 class TestSimulatedPowerProxy:
@@ -183,8 +177,9 @@ class TestSimulatedPowerProxy:
         shape = PositionedShape.from_vertices(np.array([[0.0, 0], [0.3, 0]]))
         params = DissipationParams.uniform(1.38, 2, 0.5)
         traj = integrate_motion_trajectory([shape] * 2, params)
-        with pytest.raises(NonPositiveDuration):
-            simulated_power_proxy(traj, 0.0)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(InvalidParameter):
+                simulated_power_proxy(traj, bad)
 
     def test_penalized_gait_is_no_less_efficient(self):
         # end-to-end: optimize with and without the energy penalty, then
@@ -215,10 +210,19 @@ class TestPowerLog:
         assert log.mean_power == 2.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FileFormatError, match="increasing"):
             PowerLog(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(InvalidParameter):
             PowerLog(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+        with pytest.raises(ShapeMismatch):
+            PowerLog(np.array([0.0, 1.0]), np.array([1.0]))
+
+    def test_non_finite_samples_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(FileFormatError, match="finite"):
+                PowerLog(np.array([0.0, 1.0, 2.0]), np.array([1.0, bad, 1.0]))
+            with pytest.raises(FileFormatError, match="finite"):
+                PowerLog(np.array([0.0, bad, 2.0]), np.array([1.0, 1.0, 1.0]))
 
 
 class TestFileFormats:

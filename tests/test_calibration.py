@@ -20,9 +20,8 @@ from snakesim.calibration import (
 )
 from snakesim.dynamics import DissipationParams, geometric_momentum, integrate_motion_trajectory
 from snakesim.errors import (
-    EmptyCurve,
+    EmptyInput,
     FileFormatError,
-    InconsistentMarkerCount,
     InvalidAnisotropy,
     NonPositiveWeight,
     ShapeMismatch,
@@ -78,13 +77,13 @@ class TestExtractShapes:
 
     def test_single_marker_rejected(self):
         mocap = MocapTrajectory(np.arange(3.0), np.zeros((3, 1, 2)))
-        with pytest.raises(InconsistentMarkerCount):
+        with pytest.raises(ShapeMismatch):
             extract_shapes(mocap)
 
     def test_constructor_validation(self):
-        with pytest.raises(InconsistentMarkerCount):
+        with pytest.raises(ShapeMismatch):
             MocapTrajectory(np.arange(2.0), np.zeros((2, 3)))
-        with pytest.raises(InconsistentMarkerCount):
+        with pytest.raises(ShapeMismatch):
             MocapTrajectory(np.arange(3.0), np.zeros((2, 3, 2)))
         with pytest.raises(FileFormatError):
             MocapTrajectory(np.array([0.0, 0.0]), np.zeros((2, 3, 2)))
@@ -138,6 +137,10 @@ class TestComCurve:
         with pytest.raises(ShapeMismatch):
             ComCurve(np.arange(2.0), np.zeros((2, 3)))
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ShapeMismatch, match="3 times for 2 positions"):
+            ComCurve(np.arange(3.0), np.zeros((2, 2)))
+
     def test_two_markers_midpoint(self):
         frames = np.array([[[0.0, 0.0], [2.0, 0.0]], [[0.0, 2.0], [2.0, 2.0]]])
         curve = com_curve(MocapTrajectory(np.arange(2.0), frames), [1.0, 1.0])
@@ -163,7 +166,7 @@ class TestComCurve:
             for source in (mocap, traj):
                 with pytest.raises(NonPositiveWeight):
                     com_curve(source, weights)
-        with pytest.raises(InconsistentMarkerCount):
+        with pytest.raises(ShapeMismatch):
             com_curve(mocap, [1.0, 1.0])
 
     def test_displacement_magnitudes(self):
@@ -209,7 +212,7 @@ class TestRmsError:
     def test_empty_curve_rejected(self):
         empty = ComCurve(np.array([]), np.zeros((0, 2)))
         full = ComCurve(np.array([0.0]), np.zeros((1, 2)))
-        with pytest.raises(EmptyCurve):
+        with pytest.raises(EmptyInput):
             rms_error(empty, full)
 
 

@@ -158,6 +158,13 @@ class TestOptimize:
         best, meta = read_gait_file(out / "gait_optimized.txt")
         assert meta["timesteps"] == 10 and meta["edges"] == 5
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exits_2(self, tmp_path, capsys, budget):
+        out = tmp_path / "run"
+        code, _, err = run(capsys, "optimize", "--max-evals", budget, "--seed", "3", "--out", str(out))
+        assert code == 2 and "max_evaluations must be >= 1" in err
+        assert not (out / "report.csv").exists()
+
     def test_fixed_xi_in_output_file(self, tmp_path, capsys):
         out = tmp_path / "run"
         code, _, _ = run(
@@ -394,6 +401,24 @@ class TestAnalyze:
         write_power_csv(power, PowerLog(np.array([0.0]), np.array([4.0])))
         code, _, _ = run(capsys, "analyze", f"Exp={delta}", "--power", str(power))
         assert code == 2  # --duration missing
+
+    @pytest.mark.parametrize("rows, duration", [
+        ("0.0,4.0\n1.0,nan\n", "5.0"),  # a NaN power sample
+        ("0.0,4.0\nnan,6.0\n", "5.0"),  # a NaN timestamp
+        ("0.0,4.0\n1.0,6.0\n", "nan"),  # a NaN duration
+    ], ids=["nan-power", "nan-time", "nan-duration"])
+    def test_non_finite_transport_inputs_exit_2(self, tmp_path, capsys, rows, duration):
+        delta = tmp_path / "delta.txt"
+        write_displacements_file(delta, [0.2, 0.3])
+        power = tmp_path / "power.csv"
+        power.write_text("time_s,power_w\n" + rows)
+        out = tmp_path / "run"
+        code, stdout, err = run(
+            capsys, "analyze", f"Exp={delta}", "--power", str(power), "--duration", duration, "--out", str(out),
+        )
+        assert code == 2 and "nan" not in stdout
+        assert "finite" in err or "--duration" in err
+        assert not (out / "cot.csv").exists()
 
 
 class TestGaitSample:

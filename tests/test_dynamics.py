@@ -21,8 +21,9 @@ from snakesim.dynamics import (
 from snakesim.errors import (
     FileFormatError,
     InvalidAnisotropy,
-    InvalidWeight,
+    InvalidParameter,
     NoConvergence,
+    NonPositiveWeight,
     ShapeMismatch,
 )
 from snakesim.geometry import (
@@ -108,15 +109,31 @@ class TestLocalTensor:
             local_tensor([1, 0], 1.0, 0.0)
         with pytest.raises(InvalidAnisotropy):
             local_tensor([1, 0], 1.0, 1.5)
-        with pytest.raises(InvalidWeight):
+        with pytest.raises(NonPositiveWeight):
             local_tensor([1, 0], -1.0, 0.5)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonPositiveWeight):
+                local_tensor([1, 0], bad, 0.5)
+            with pytest.raises(InvalidAnisotropy):
+                local_tensor([1, 0], 1.0, bad)
 
 
 class TestDissipationParams:
     def test_non_finite_weights_rejected(self):
         for bad in (np.nan, np.inf):
-            with pytest.raises(InvalidWeight):
+            with pytest.raises(NonPositiveWeight):
                 DissipationParams([bad, 1.0], 0.3)
+
+    def test_uniform_needs_a_vertex_and_a_positive_mass(self):
+        assert np.array_equal(DissipationParams.uniform(1.5, 3, 0.5).weights, [0.5, 0.5, 0.5])
+        for count in (0, -2):
+            with pytest.raises(InvalidParameter):
+                DissipationParams.uniform(1.0, count, 0.5)
+        for mass in (0.0, -1.0, np.nan):
+            with pytest.raises(NonPositiveWeight):
+                DissipationParams.uniform(mass, 3, 0.5)
+        with pytest.raises(NonPositiveWeight):
+            DissipationParams([], 0.5)
 
 
 class TestStepEnergy:
@@ -192,7 +209,8 @@ class TestGeometricMomentum:
             rotated = geometric_momentum(
                 apply_rigid_motion(g, shapes[4]), apply_rigid_motion(g, shapes[5]), params
             )
-            expected = np.concatenate([mu[:1], g.matrix @ mu[1:]])
+            c, s = np.cos(g.angle), np.sin(g.angle)
+            expected = np.concatenate([mu[:1], np.array([[c, -s], [s, c]]) @ mu[1:]])
             assert np.allclose(rotated, expected, atol=1e-12)
 
     @pytest.mark.parametrize("epsilon", [0.05, 0.1865, 1.0])
@@ -713,6 +731,18 @@ class TestTrajectoryFiles:
         path = tmp_path / "gap.csv"
         path.write_text("t,k,x,y\n0,0,0.0,0.0\n0,2,1.0,0.0\n")
         with pytest.raises(FileFormatError):
+            read_trajectory_csv(path)
+
+    def test_frame_gap_rejected(self, tmp_path):
+        path = tmp_path / "skip.csv"
+        path.write_text("t,k,x,y\n0,0,0.0,0.0\n0,1,1.0,0.0\n5,0,0.0,0.0\n5,1,1.0,0.0\n")
+        with pytest.raises(FileFormatError, match="without gaps"):
+            read_trajectory_csv(path)
+
+    def test_duplicate_row_rejected(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("t,k,x,y\n0,0,0.0,0.0\n0,1,1.0,0.0\n0,1,2.0,0.0\n")
+        with pytest.raises(FileFormatError, match="second row"):
             read_trajectory_csv(path)
 
     def test_frames_must_agree_on_vertex_count(self, tmp_path):

@@ -10,7 +10,6 @@ from snakesim.geometry import (
     complex_view,
     curve_from_curvature,
     rigid_registration,
-    rotation_matrix,
     shapes_from_vertices,
     tangents_from_vertices,
 )
@@ -25,14 +24,21 @@ def random_motion(rng, scale=1.0):
     return RigidMotion(rng.uniform(-np.pi, np.pi), rng.normal(scale=scale, size=2))
 
 
+def rotation(angle):
+    """2x2 matrix of the rotation by `angle` radians, a reference for the rotor."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
 class TestRigidMotion:
-    def test_rotation_matrix_turns_x_axis_to_angle(self):
+    def test_rotor_turns_x_axis_to_angle(self):
         rng = np.random.default_rng(1)
+        points = rng.normal(size=(5, 2))
         for angle in rng.uniform(-10, 10, size=20):
-            a = rotation_matrix(angle)
-            assert np.allclose(a @ a.T, np.eye(2), atol=1e-14)
-            assert np.linalg.det(a) == pytest.approx(1.0, abs=1e-13)
-            assert np.allclose(a @ [1, 0], [np.cos(angle), np.sin(angle)])
+            g = RigidMotion(angle)
+            assert abs(g.rotor) == pytest.approx(1.0, abs=1e-15)
+            assert np.allclose(g.apply_points([[1.0, 0.0]]), [[np.cos(angle), np.sin(angle)]], atol=1e-15)
+            assert np.allclose(g.apply_points(points), points @ rotation(angle).T, atol=1e-14)
 
     def test_translation_must_be_planar(self):
         with pytest.raises(ShapeMismatch):
@@ -139,6 +145,24 @@ class TestTangents:
         with pytest.raises(ZeroLengthEdge, match="vertices 4 and 5"):
             tangents_from_vertices(stack)
 
+    def test_shapes_from_vertices_checks_the_stack_once(self):
+        rng = np.random.default_rng(8)
+        stack = np.cumsum(rng.normal(size=(4, 6, 2)), axis=1)
+        shapes = shapes_from_vertices(stack)
+        for verts, shape in zip(stack, shapes):
+            expected = PositionedShape.from_vertices(verts)
+            assert isinstance(shape, PositionedShape) and shape.num_vertices == 6
+            assert np.array_equal(shape.vertices, expected.vertices)
+            assert np.array_equal(shape.tangents, expected.tangents)
+            assert shape.vertices.flags.c_contiguous and shape.tangents.flags.c_contiguous
+            assert np.shares_memory(shape.vertices, stack)  # a view of the checked stack, not a copy
+        broken = stack.copy()
+        broken[2, 3, 1] = np.nan
+        with pytest.raises(ShapeMismatch, match="finite"):
+            shapes_from_vertices(broken)
+        with pytest.raises(ShapeMismatch):
+            shapes_from_vertices(stack[0])  # one (N, 2) polyline is not a stack
+
     def test_commutes_with_rigid_motions(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -147,7 +171,7 @@ class TestTangents:
             moved = g.apply_points(verts)
             assert np.allclose(
                 tangents_from_vertices(moved),
-                tangents_from_vertices(verts) @ g.matrix.T,
+                tangents_from_vertices(verts) @ rotation(g.angle).T,
                 atol=1e-12,
             )
 
@@ -159,7 +183,7 @@ class TestApplyRigidMotion:
 
     def test_identity_leaves_shape_unchanged(self):
         shape = self._shape()
-        moved = apply_rigid_motion(RigidMotion.identity(), shape)
+        moved = apply_rigid_motion(RigidMotion(), shape)
         assert np.array_equal(moved.vertices, shape.vertices)
         assert np.array_equal(moved.tangents, shape.tangents)
 
@@ -247,10 +271,11 @@ class TestCurveFromCurvature:
             assert np.max(np.abs(lengths - 0.92 / m)) < 1e-12
 
     def test_nonpositive_length_rejected(self):
-        from snakesim.errors import InvalidLength
+        from snakesim.errors import InvalidParameter
 
-        with pytest.raises(InvalidLength):
-            curve_from_curvature(np.zeros(4), 0.0)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(InvalidParameter):
+                curve_from_curvature(np.zeros(4), bad)
 
 
 class TestCenterOfMass:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from snakesim.dynamics import DissipationParams, geometric_momentum, integrate_motion_trajectory
-from snakesim.errors import DegenerateJacobian, FileFormatError, NoConvergence, NonFiniteLoss, ShapeMismatch
+from snakesim.errors import (
+    DegenerateJacobian,
+    FileFormatError,
+    InvalidParameter,
+    NoConvergence,
+    NonFiniteLoss,
+    ShapeMismatch,
+)
 from snakesim.optimize import (
     DEFAULT_BOUNDS,
     DISSIPATION_COEFFICIENT_GRID,
@@ -43,16 +50,19 @@ def default_cfg(epsilon=0.1865):
 
 class TestGaitBounds:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             GaitBounds(sigma=(0.8, 0.2))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             GaitBounds(sigma=(-0.1, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             GaitBounds(sigma=(0.0, 1.2))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             GaitBounds(a=(0.0, 8.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             GaitBounds(xi=(-0.5, 2.0))
+        for bad in ((np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)):
+            with pytest.raises(InvalidParameter, match="finite"):
+                GaitBounds(xc=bad)
 
     def test_contains(self):
         assert DEFAULT_BOUNDS.contains(REFERENCE_GAIT)
@@ -124,7 +134,7 @@ class TestObjectiveConfigValidation:
     def test_negative_coefficient_rejected(self):
         sim = SimConfig(timesteps=10, edges=5)
         params = DissipationParams.uniform(1.38, 6, 0.3)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             ObjectiveConfig(params=params, sim=sim, dissipation_coefficient=-0.5)
 
     def test_weight_count_must_match_vertices(self):
@@ -133,14 +143,16 @@ class TestObjectiveConfigValidation:
             ObjectiveConfig(params=DissipationParams.uniform(1.38, 4, 0.3), sim=sim)
 
     def test_sim_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             SimConfig(timesteps=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             SimConfig(edges=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             SimConfig(body_length=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             SimConfig(cycles=0)
+        with pytest.raises(InvalidParameter):
+            SimConfig(body_length=np.nan)
 
 
 def quadratic_surrogate(minimum):
@@ -197,9 +209,18 @@ class TestOptimizeGait:
         assert best.xi == 1.25
         assert all(rec.gait.xi == 1.25 for rec in history)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected_before_any_simulation(self, budget, monkeypatch):
+        def fail(*args):
+            raise AssertionError("simulated despite an empty budget")
+
+        monkeypatch.setattr("snakesim.optimize.evaluate_gait", fail)
+        with pytest.raises(InvalidParameter, match="max_evaluations"):
+            optimize_gait(random_gait(5), DEFAULT_BOUNDS, small_cfg(), max_evaluations=budget)
+
     def test_fixed_xi_outside_bounds_rejected(self):
         cfg = small_cfg(fixed_xi=3.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             optimize_gait(random_gait(5), DEFAULT_BOUNDS, cfg)
 
     def test_degenerate_bounds_single_evaluation(self):

@@ -1,28 +1,16 @@
 import numpy as np
 import pytest
 
-from snakesim.errors import FileFormatError, InvalidLength, ShapeMismatch
-from snakesim.geometry import RigidMotion, apply_rigid_motion
+from snakesim.errors import FileFormatError, InvalidParameter
 from snakesim.shapespace import (
     GaitEllipse,
     SerpenoidPoint,
     gait_to_shape_sequence,
-    joint_angles_to_shapes,
     read_gait_file,
-    read_joint_angles_csv,
     sample_gait,
     serpenoid_curvature,
-    shapes_to_joint_angles,
     write_gait_file,
-    write_joint_angles_csv,
 )
-
-
-def canonicalize(shape):
-    """Translate vertex 0 to the origin and rotate the first edge onto +x."""
-    edge = shape.vertices[1] - shape.vertices[0]
-    g = RigidMotion(-np.arctan2(edge[1], edge[0]))
-    return apply_rigid_motion(g, apply_rigid_motion(RigidMotion(0.0, -shape.vertices[0][:2]), shape))
 
 
 def test_serpenoid_curvature_values():
@@ -63,7 +51,7 @@ def test_gait_ellipse_rejects_non_finite_fields():
     fields = dict(sigma=1.0, xc=0.0, yc=0.0, theta=0.0, a=3.0, xi=1.0)
     for name in fields:
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            with pytest.raises(InvalidParameter, match=f"^{name} must be finite"):
                 GaitEllipse(**{**fields, name: bad})
 
 
@@ -76,13 +64,17 @@ class TestGaitToShapeSequence:
             assert shape.vertices[-1][0] == pytest.approx(0.92, abs=1e-12)
 
     def test_robot_discretization_shape(self):
-        # 50 timesteps x 11 edges -> a 50 x 10 joint-angle matrix
+        # 50 timesteps x 11 edges -> 50 shapes of 12 vertices
         e = GaitEllipse(sigma=0.8, xc=0.0, yc=0.0, theta=0.0, a=3.0, xi=1.0)
         shapes = gait_to_shape_sequence(e, timesteps=50, edges=11, body_length=0.92)
         assert len(shapes) == 50
-        assert shapes[0].num_vertices == 12
-        angles = shapes_to_joint_angles(shapes)
-        assert angles.shape == (50, 10)
+        assert np.stack([shape.vertices for shape in shapes]).shape == (50, 12, 2)
+
+    def test_bad_discretization_rejected(self):
+        e = GaitEllipse(sigma=0.8, xc=0.0, yc=0.0, theta=0.0, a=3.0, xi=1.0)
+        for timesteps, edges, length in ((1, 11, 0.92), (50, 1, 0.92), (50, 11, 0.0), (50, 11, np.nan)):
+            with pytest.raises(InvalidParameter):
+                gait_to_shape_sequence(e, timesteps, edges, length)
 
     def test_first_shape_is_t0_sample(self):
         from snakesim.geometry import curve_from_curvature
@@ -114,47 +106,6 @@ class TestGaitToShapeSequence:
         shapes = gait_to_shape_sequence(e, timesteps=7, edges=5, body_length=1.0)
         for shape in shapes[1:]:
             assert np.max(np.abs(shape.vertices - shapes[0].vertices)) < 1e-12
-
-
-class TestJointAngles:
-    def test_straight_shape_zero_angles(self):
-        shapes = joint_angles_to_shapes(np.zeros((3, 4)), edge_length=0.1)
-        angles = shapes_to_joint_angles(shapes)
-        assert np.max(np.abs(angles)) == 0.0
-        assert shapes[0].vertices[-1] == pytest.approx([0.5, 0])
-
-    def test_right_angle_bend(self):
-        shapes = joint_angles_to_shapes(np.array([[0.0, np.pi / 2, 0.0]]), edge_length=1.0)
-        angles = shapes_to_joint_angles(shapes)
-        assert angles[0] == pytest.approx([0.0, np.pi / 2, 0.0], abs=1e-14)
-        # the bend turns the remaining edges from +x to +y
-        assert shapes[0].vertices[-1] == pytest.approx([2.0, 2.0], abs=1e-14)
-
-    def test_random_round_trip_angles(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            angles = rng.uniform(-np.pi / 2, np.pi / 2, size=(6, 9))
-            shapes = joint_angles_to_shapes(angles, edge_length=0.092)
-            back = shapes_to_joint_angles(shapes)
-            assert np.max(np.abs(back - angles)) < 1e-10
-
-    def test_round_trip_shapes_up_to_rigid_motion(self):
-        e = GaitEllipse(sigma=0.7, xc=0.2, yc=-0.4, theta=0.5, a=2.8, xi=1.2)
-        shapes = gait_to_shape_sequence(e, timesteps=6, edges=10, body_length=0.92)
-        angles = shapes_to_joint_angles(shapes)
-        rebuilt = joint_angles_to_shapes(angles, edge_length=0.92 / 10)
-        for original, copy in zip(shapes, rebuilt):
-            assert np.max(np.abs(canonicalize(original).vertices - canonicalize(copy).vertices)) < 1e-10
-
-    def test_mismatched_vertex_counts_rejected(self):
-        a = joint_angles_to_shapes(np.zeros((1, 3)), 0.1)
-        b = joint_angles_to_shapes(np.zeros((1, 4)), 0.1)
-        with pytest.raises(ShapeMismatch):
-            shapes_to_joint_angles([a[0], b[0]])
-
-    def test_bad_edge_length(self):
-        with pytest.raises(InvalidLength):
-            joint_angles_to_shapes(np.zeros((1, 3)), 0.0)
 
 
 class TestFiles:
@@ -192,15 +143,9 @@ class TestFiles:
             with pytest.raises(FileFormatError):
                 read_gait_file(path)
 
-    def test_joint_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        angles = rng.uniform(-1.0, 1.0, size=(50, 10))
-        path = tmp_path / "angles.csv"
-        write_joint_angles_csv(path, angles)
-        assert np.array_equal(read_joint_angles_csv(path), angles)
-
-    def test_joint_csv_rejects_ragged(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("0.1,0.2\n0.3\n")
-        with pytest.raises(FileFormatError):
-            read_joint_angles_csv(path)
+    def test_gait_file_rejects_unknown_keys(self, tmp_path):
+        path = tmp_path / "typo.txt"
+        write_gait_file(path, GaitEllipse(0.5, 0, 0, 0, 1, 1))
+        path.write_text(path.read_text() + "timestep = 80\n")  # a typo for timesteps
+        with pytest.raises(FileFormatError, match="unknown key 'timestep'"):
+            read_gait_file(path)
