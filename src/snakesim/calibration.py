@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dynamics import DissipationParams, Trajectory, integrate_motion_trajectory
 from .errors import EmptyInput, FileFormatError, InvalidAnisotropy, ShapeMismatch
@@ -199,6 +198,9 @@ def fit_anisotropy(
     grid = np.geomspace(lo, hi, GRID_POINTS)
     k = int(np.argmin([squared_rms(eps) for eps in grid]))
     bracket = (grid[max(k - 1, 0)], grid[min(k + 1, GRID_POINTS - 1)])
+    # imported here: scipy.optimize is most of the package's import time, which runs that never fit should not pay
+    from scipy.optimize import minimize_scalar
+
     minimize_scalar(squared_rms, bounds=bracket, method="bounded", options={"xatol": REFINE_TOL})
 
     best = min(history, key=lambda rec: rec[1])

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,6 +212,9 @@ def cmd_optimize(args) -> int:
     if args.c_sweep:
         tasks = [(c, seed_gait, vars(cfg), args.max_evals) for c in DISSIPATION_COEFFICIENT_GRID]
         if cfg.jobs > 1:
+            # imported here: the pool brings in multiprocessing, which only this branch uses
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
                 results = list(pool.map(_sweep_worker, tasks))
         else:
@@ -344,40 +346,45 @@ def cmd_analyze(args) -> int:
         values = analysis.read_displacements_file(path)
         classes.append(analysis.ClassDisplacements(label, values))
 
-    matrices = {}
-    for cls in classes:
-        delta = analysis.performance_ratios(cls)
-        matrices[cls.class_label] = delta
-        mean, std = analysis.trial_stats(cls.values)
-        print(f"{cls.class_label}: {len(cls.values)} gaits, displacement mean={mean:.6g} std={std:.6g}")
-        _emit(_out_path(cfg, f"delta_{cls.class_label}.csv"), analysis.write_matrix_csv, delta)
-
-    for i, x in enumerate(classes):
-        for y in classes[i + 1:]:
-            quotients, mean, std = analysis.ratio_quotients(
-                matrices[x.class_label], matrices[y.class_label]
-            )
-            pair = f"{x.class_label}_{y.class_label}"
-            print(f"Xi({x.class_label},{y.class_label}): off-diagonal mean={mean:.4f} std={std:.4f}")
-            _emit(_out_path(cfg, f"xi_{pair}.csv"), analysis.write_matrix_csv, quotients)
-            svg_path = _out_path(cfg, f"xi_{pair}.svg")
-            labels = [str(k) for k in range(len(quotients))]
-            svgplot.plot_heatmap(
-                svg_path, quotients, row_labels=labels, col_labels=labels,
-                title=f"ratio quotients {x.class_label}/{y.class_label}",
-            )
-            print(f"wrote {svg_path}")
-
+    # every result is computed before the first file is written, so a bad input leaves none behind
+    matrices = {cls.class_label: analysis.performance_ratios(cls) for cls in classes}
+    pairs = [
+        (x.class_label, y.class_label, analysis.ratio_quotients(matrices[x.class_label], matrices[y.class_label]))
+        for i, x in enumerate(classes) for y in classes[i + 1:]
+    ]
+    cot_rows = []
     if args.power:
         log = analysis.read_power_csv(args.power)
+        for cls in classes:
+            mean_disp = float(np.mean(cls.values))
+            velocity = mean_disp / args.duration
+            cot = analysis.cost_of_transport(log.mean_power, cfg.mass, args.gravity, velocity)
+            cot_rows.append((cls.class_label, mean_disp, velocity, cot))
+
+    for cls in classes:
+        mean, std = analysis.trial_stats(cls.values)
+        print(f"{cls.class_label}: {len(cls.values)} gaits, displacement mean={mean:.6g} std={std:.6g}")
+        _emit(_out_path(cfg, f"delta_{cls.class_label}.csv"), analysis.write_matrix_csv, matrices[cls.class_label])
+
+    for x_label, y_label, (quotients, mean, std) in pairs:
+        pair = f"{x_label}_{y_label}"
+        print(f"Xi({x_label},{y_label}): off-diagonal mean={mean:.4f} std={std:.4f}")
+        _emit(_out_path(cfg, f"xi_{pair}.csv"), analysis.write_matrix_csv, quotients)
+        svg_path = _out_path(cfg, f"xi_{pair}.svg")
+        labels = [str(k) for k in range(len(quotients))]
+        svgplot.plot_heatmap(
+            svg_path, quotients, row_labels=labels, col_labels=labels,
+            title=f"ratio quotients {x_label}/{y_label}",
+        )
+        print(f"wrote {svg_path}")
+
+    if args.power:
         cot_path = _out_path(cfg, "cot.csv")
         with open(cot_path, "w", newline="") as handle:
             handle.write("class,mean_displacement_m,velocity_mps,cost_of_transport\n")
-            for cls in classes:
-                velocity = float(np.mean(cls.values)) / args.duration
-                cot = analysis.cost_of_transport(log.mean_power, cfg.mass, args.gravity, velocity)
-                handle.write(f"{cls.class_label},{float(np.mean(cls.values))!r},{velocity!r},{cot!r}\n")
-                print(f"CoT[{cls.class_label}] = {cot:.4f} (P={log.mean_power:.3f} W, v={velocity:.4f} m/s)")
+            for label, mean_disp, velocity, cot in cot_rows:
+                handle.write(f"{label},{mean_disp!r},{velocity!r},{cot!r}\n")
+                print(f"CoT[{label}] = {cot:.4f} (P={log.mean_power:.3f} W, v={velocity:.4f} m/s)")
         print(f"wrote {cot_path}")
     return 0
 

@@ -14,7 +14,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dynamics import DissipationParams, Trajectory, integrate_motion_trajectory, total_energy
 from .errors import FileFormatError, InvalidParameter, NoConvergence, NonFiniteLoss, ShapeMismatch
@@ -247,6 +246,9 @@ def optimize_gait(
             vertex = u0.copy()
             vertex[i] += _SIMPLEX_SPREAD if vertex[i] + _SIMPLEX_SPREAD <= 1.0 else -_SIMPLEX_SPREAD
             simplex.append(vertex)
+        # imported here: scipy.optimize is most of the package's import time, which runs that never search should not pay
+        from scipy.optimize import minimize
+
         minimize(
             objective,
             u0,

@@ -7,8 +7,6 @@ instead of comparing bytes.
 
 from __future__ import annotations
 
-import xml.sax.saxutils as _su
-
 import numpy as np
 
 from .errors import EmptyInput, InvalidParameter, ShapeMismatch
@@ -17,6 +15,12 @@ __all__ = ["SvgCanvas", "plot_curves", "plot_trajectory", "plot_heatmap"]
 
 _MARGIN = 54.0
 _TICKS = 5
+
+
+def _escape(text, quote=False) -> str:
+    """XML-escape &, < and > (and " when `quote`, for attribute values)."""
+    text = str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.replace('"', "&quot;") if quote else text
 
 
 class SvgCanvas:
@@ -28,7 +32,7 @@ class SvgCanvas:
         self._parts: list[str] = []
 
     def _attrs(self, mapping) -> str:
-        return "".join(f' {k}="{_su.escape(str(v))}"' for k, v in mapping.items() if v is not None)
+        return "".join(f' {k}="{_escape(v, quote=True)}"' for k, v in mapping.items() if v is not None)
 
     def polyline(self, points, stroke="black", stroke_width=1.5, dash=None, opacity=None):
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
@@ -49,16 +53,16 @@ class SvgCanvas:
         if title is None:
             self._parts.append(body + "/>")
         else:
-            self._parts.append(body + f"><title>{_su.escape(title)}</title></rect>")
+            self._parts.append(body + f"><title>{_escape(title)}</title></rect>")
 
     def circle(self, x, y, r, fill="black"):
-        self._parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.2f}" fill="{fill}"/>')
+        self._parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.2f}"' + self._attrs({"fill": fill}) + "/>")
 
     def text(self, x, y, content, size=12, anchor="start", fill="#333"):
         self._parts.append(
             f'<text x="{x:.2f}" y="{y:.2f}"'
             + self._attrs({"font-size": size, "text-anchor": anchor, "fill": fill, "font-family": "sans-serif"})
-            + f">{_su.escape(str(content))}</text>"
+            + f">{_escape(content)}</text>"
         )
 
     def to_string(self) -> str:

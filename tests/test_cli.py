@@ -402,14 +402,15 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", f"Exp={delta}", "--power", str(power))
         assert code == 2  # --duration missing
 
-    @pytest.mark.parametrize("rows, duration", [
-        ("0.0,4.0\n1.0,nan\n", "5.0"),  # a NaN power sample
-        ("0.0,4.0\nnan,6.0\n", "5.0"),  # a NaN timestamp
-        ("0.0,4.0\n1.0,6.0\n", "nan"),  # a NaN duration
-    ], ids=["nan-power", "nan-time", "nan-duration"])
-    def test_non_finite_transport_inputs_exit_2(self, tmp_path, capsys, rows, duration):
+    @pytest.mark.parametrize("values, rows, duration", [
+        ([0.2, 0.3], "0.0,4.0\n1.0,nan\n", "5.0"),  # a NaN power sample
+        ([0.2, 0.3], "0.0,4.0\nnan,6.0\n", "5.0"),  # a NaN timestamp
+        ([0.2, 0.3], "0.0,4.0\n1.0,6.0\n", "nan"),  # a NaN duration
+        ([1e-300, 2e-300], "0.0,4.0\n1.0,6.0\n", "1e300"),  # the mean velocity underflows to 0
+    ], ids=["nan-power", "nan-time", "nan-duration", "zero-velocity"])
+    def test_non_finite_transport_inputs_exit_2(self, tmp_path, capsys, values, rows, duration):
         delta = tmp_path / "delta.txt"
-        write_displacements_file(delta, [0.2, 0.3])
+        write_displacements_file(delta, values)
         power = tmp_path / "power.csv"
         power.write_text("time_s,power_w\n" + rows)
         out = tmp_path / "run"
@@ -418,8 +419,7 @@ class TestAnalyze:
         )
         assert code == 2 and "nan" not in stdout
         assert "finite" in err or "--duration" in err
-        assert not (out / "cot.csv").exists()
-
+        assert not out.exists()  # every input is checked before the first file is written
 
 class TestGaitSample:
     def test_deterministic_file(self, tmp_path, capsys):
@@ -442,3 +442,34 @@ class TestGaitSample:
         )
         assert result.returncode == 0
         assert (tmp_path / "gait_seed1.txt").exists()
+
+
+_IMPORT_PROBE = """
+import sys
+import snakesim, snakesim.cli
+from snakesim.cli import main
+
+heavy = ("scipy", "multiprocessing", "concurrent.futures.process", "xml.sax", "urllib.request")
+gait, mocap, delta, power, out = sys.argv[1:]
+for argv in (["gait-sample"], ["simulate", gait], ["resim", mocap],
+             ["analyze", "Exp=" + delta, "Sim=" + delta, "--power", power, "--duration", "5"]):
+    assert main(argv + ["--out", out]) == 0, argv
+assert not [m for m in heavy if m in sys.modules], [m for m in heavy if m in sys.modules]
+assert main(["optimize", "--max-evals", "2", "--out", out]) == 0
+assert main(["calibrate", mocap, "--out", out]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_search_and_fit_load_scipy(tmp_path, gait_file, mocap_file):
+    # a fresh interpreter: pytest and its plugins may have imported scipy into this one
+    delta = tmp_path / "delta.txt"
+    write_displacements_file(delta, [0.2, 0.3])
+    power = tmp_path / "power.csv"
+    write_power_csv(power, PowerLog(np.array([0.0, 1.0]), np.array([4.0, 6.0])))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, gait_file, mocap_file, str(delta), str(power), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

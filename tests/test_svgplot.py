@@ -52,6 +52,21 @@ class TestPlotCurves:
         assert root.tag == SVG_NS + "svg"
         assert root.get("width") and root.get("height")
 
+    def test_attribute_and_text_values_round_trip(self, tmp_path):
+        path = tmp_path / "quoted.svg"
+        color, dash, label = 'red" x="1', '6,4" y="&', "a <b> & c"
+        plot_curves(path, [
+            {"x": [0, 1], "y": [0, 1], "color": color, "dash": dash, "label": label},
+            {"x": [0.5], "y": [0.5], "color": color},  # one point: drawn as a circle
+        ])
+        root = parse(path)
+        (curve,) = [p for p in tags(root, "polyline") if p.get("stroke-dasharray")]
+        assert curve.get("stroke") == color and curve.get("stroke-dasharray") == dash
+        assert curve.get("x") is None  # the quote did not open a new attribute
+        assert [c.get("fill") for c in tags(root, "circle")] == [color]
+        assert [l.get("stroke") for l in tags(root, "line") if l.get("stroke") == color]
+        assert label in [t.text for t in tags(root, "text")]
+
 
 class TestPlotTrajectory:
     def frames(self, count=5):
