@@ -9,13 +9,13 @@ the off-diagonal mean and spread.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory, total_energy
 from .errors import EmptyInput, FileFormatError, InvalidParameter, ShapeMismatch
+from .tables import read_csv, read_numbers, write_csv, write_numbers
 
 __all__ = [
     "CLASS_LABELS",
@@ -142,54 +142,22 @@ def simulated_power_proxy(traj: Trajectory, cycle_duration: float) -> float:
 # -- file formats --------------------------------------------------------------
 
 
-def write_displacements_file(path, values):
-    """One displacement (meters) per line."""
-    with open(path, "w") as handle:
-        for v in np.asarray(values, dtype=float).ravel():
-            handle.write(f"{float(v)!r}\n")
+# one displacement (meters) per line
+read_displacements_file, write_displacements_file = read_numbers, write_numbers
 
 
-def read_displacements_file(path) -> np.ndarray:
-    values = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                values.append(float(text))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{line_no}: not a displacement: {text!r}") from exc
-    if not values:
-        raise FileFormatError(f"{path}: no values found")
-    return np.array(values)
+_POWER_HEADER = ("time_s", "power_w")
 
 
 def write_power_csv(path, log: PowerLog):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time_s", "power_w"])
-        for t, p in zip(log.times, log.power):
-            writer.writerow([repr(float(t)), repr(float(p))])
+    write_csv(path, _POWER_HEADER, zip(log.times.tolist(), log.power.tolist()), "\r\n")
 
 
 def read_power_csv(path) -> PowerLog:
-    times, power = [], []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["time_s", "power_w"]:
-            raise FileFormatError(f"{path}: expected header 'time_s,power_w'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                times.append(float(row[0]))
-                power.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise FileFormatError(f"{path}: bad power row {row!r}") from exc
-    if not times:
+    _, rows = read_csv(path, _POWER_HEADER, lambda cells: tuple(map(float, cells)))
+    if not rows:
         raise FileFormatError(f"{path}: no data rows")
+    times, power = zip(*rows)
     return PowerLog(np.array(times), np.array(power))
 
 
@@ -197,31 +165,19 @@ def write_matrix_csv(path, matrix, labels=None):
     """Square matrix with a shared header row/column of gait indices."""
     m = np.asarray(matrix, dtype=float)
     if labels is None:
-        labels = [str(i) for i in range(m.shape[0])]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([""] + list(labels))
-        for label, row in zip(labels, m):
-            writer.writerow([label] + [repr(float(v)) for v in row])
+        labels = [str(i) for i in range(m.shape[0] if m.ndim else 0)]
+    if m.shape != (len(labels), len(labels)):  # else the rows come out ragged, or some are dropped
+        raise ShapeMismatch(f"a matrix of shape {m.shape} for {len(labels)} labels: one row and column per label")
+    write_csv(path, [""] + list(labels), ([label] + row for label, row in zip(labels, m.tolist())), "\r\n")
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise FileFormatError(f"{path}: expected a header row of labels")
-        labels = [c.strip() for c in header[1:]]
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(labels) + 1:
-                raise FileFormatError(f"{path}: row length {len(row)} does not match header")
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise FileFormatError(f"{path}: non-numeric matrix entry in {row!r}") from exc
+    header, rows = read_csv(
+        path,
+        lambda cells: [""] + (cells[1:] or [""]),  # a blank corner cell, then at least one label
+        lambda cells: [float(v) for v in cells[1:]],
+    )
+    labels = header[1:]
     if len(rows) != len(labels):
         raise FileFormatError(f"{path}: {len(rows)} rows for {len(labels)} columns")
     return np.array(rows), labels

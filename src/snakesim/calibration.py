@@ -9,7 +9,6 @@ locates it, and a bounded Brent search on the squared RMS refines it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,7 @@ from .dynamics import DissipationParams, Trajectory, integrate_motion_trajectory
 from .errors import EmptyInput, FileFormatError, InvalidAnisotropy, ShapeMismatch
 from .geometry import PositionedShape, _as_points, center_of_mass, shapes_from_vertices
 from .geometry import tangents_from_vertices  # noqa: F401 -- bench/workloads.py traces the shape layer here
+from .tables import read_csv, read_numbers, write_csv, write_numbers
 
 __all__ = [
     "MocapTrajectory",
@@ -210,59 +210,29 @@ def fit_anisotropy(
 # -- file formats ---------------------------------------------------------------
 
 
+def _mocap_header(num_markers):
+    return ["time_s"] + [f"m{k}_{axis}" for k in range(num_markers) for axis in "xy"]
+
+
 def write_mocap_csv(path, mocap: MocapTrajectory):
     """Header time_s, m0_x, m0_y, ... then one row per frame, meters."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = ["time_s"]
-        for k in range(mocap.num_markers):
-            header += [f"m{k}_x", f"m{k}_y"]
-        writer.writerow(header)
-        for t, frame in zip(mocap.times, mocap.frames):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in frame.ravel()])
+    flat = mocap.frames.reshape(len(mocap.times), 2 * mocap.num_markers).tolist()
+    rows = ([t] + row for t, row in zip(mocap.times.tolist(), flat))
+    write_csv(path, _mocap_header(mocap.num_markers), rows, "\r\n")
 
 
 def read_mocap_csv(path) -> MocapTrajectory:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[0].strip() != "time_s" or len(header) < 3 or len(header) % 2 == 0:
-            raise FileFormatError(f"{path}: expected header 'time_s, m0_x, m0_y, ...'")
-        num_markers = (len(header) - 1) // 2
-        times, frames = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 1 + 2 * num_markers:
-                raise FileFormatError(f"{path}: row has {len(row)} fields, expected {1 + 2 * num_markers}")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise FileFormatError(f"{path}: non-numeric value in row {row!r}") from exc
-            times.append(values[0])
-            frames.append(np.reshape(values[1:], (num_markers, 2)))
-    if not times:
+    # the header's width sets the marker count, which is at least one
+    _, rows = read_csv(
+        path,
+        lambda cells: _mocap_header(max(len(cells) // 2, 1)),
+        lambda cells: (float(cells[0]), [float(v) for v in cells[1:]]),
+    )
+    if not rows:
         raise FileFormatError(f"{path}: no data rows")
-    return MocapTrajectory(np.array(times), np.stack(frames))
+    times, frames = zip(*rows)
+    return MocapTrajectory(np.array(times), np.reshape(frames, (len(times), -1, 2)))
 
 
-def write_weights_file(path, weights):
-    with open(path, "w") as handle:
-        for w in np.asarray(weights, dtype=float).ravel():
-            handle.write(f"{float(w)!r}\n")
-
-
-def read_weights_file(path) -> np.ndarray:
-    values = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                values.append(float(text))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{line_no}: not a weight: {text!r}") from exc
-    if not values:
-        raise FileFormatError(f"{path}: no weights found")
-    return np.array(values)
+# one weight (kg) per line
+read_weights_file, write_weights_file = read_numbers, write_numbers

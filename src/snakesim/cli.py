@@ -41,6 +41,7 @@ from .optimize import (
     write_report_csv,
 )
 from .shapespace import read_gait_file, write_gait_file
+from .tables import read_csv, read_key_values, write_csv
 
 _DEFAULTS = {
     "body_length": 0.92,
@@ -111,26 +112,6 @@ class RunConfig:
                          self.cycles if cycles is None else cycles)
 
 
-def _read_config_file(path) -> dict:
-    values = {}
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise SnakesimError(f"{path}:{line_no}: expected 'key = value', got {text!r}")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_TYPES:
-                raise SnakesimError(f"{path}:{line_no}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_TYPES[key](raw.strip())
-            except ValueError as exc:
-                raise SnakesimError(f"{path}:{line_no}: bad value for {key}: {raw.strip()!r}") from exc
-    return values
-
-
 def build_config(args, gait_meta: dict | None = None) -> RunConfig:
     """defaults < gait-file metadata < config file < explicit flags."""
     merged = dict(_DEFAULTS)
@@ -139,7 +120,7 @@ def build_config(args, gait_meta: dict | None = None) -> RunConfig:
             if gait_meta.get(key) is not None:
                 merged[key] = gait_meta[key]
     if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
+        merged.update(read_key_values(args.config, _CONFIG_TYPES))
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -219,18 +200,12 @@ def cmd_optimize(args) -> int:
                 results = list(pool.map(_sweep_worker, tasks))
         else:
             results = [_sweep_worker(t) for t in tasks]
-        rows = []
         for c, best, displacement, energy in results:
-            rows.append((c, displacement, energy))
             _emit(_out_path(cfg, f"gait_c{c:g}.txt"), write_gait_file, best,
                   cfg.timesteps, cfg.edges, cfg.body_length)
             print(f"c={c:g}: displacement={displacement:.6f} m, energy={energy:.6g}")
-        sweep_path = _out_path(cfg, "c_sweep.csv")
-        with open(sweep_path, "w", newline="") as handle:
-            handle.write("c,delta_com,energy\n")
-            for c, displacement, energy in rows:
-                handle.write(f"{c!r},{displacement!r},{energy!r}\n")
-        print(f"wrote {sweep_path}")
+        rows = [(c, displacement, energy) for c, _, displacement, energy in results]
+        _emit(_out_path(cfg, "c_sweep.csv"), write_csv, _SWEEP_HEADER, rows, "\n")
         return 0
 
     obj = _objective_config(cfg)
@@ -262,12 +237,8 @@ def cmd_calibrate(args) -> int:
     fit = calibration.fit_anisotropy(mocap, weights)
     print(f"fitted epsilon = {fit.epsilon:.6f} (rms = {fit.rms:.6g} m)")
 
-    sweep_path = _out_path(cfg, "calibration.csv")
-    with open(sweep_path, "w", newline="") as handle:
-        handle.write("epsilon,rms,final_displacement\n")
-        for eps, rms, disp in sorted(fit.evaluations):
-            handle.write(f"{float(eps)!r},{float(rms)!r},{float(disp)!r}\n")
-    print(f"wrote {sweep_path}")
+    rows = [[float(v) for v in evaluation] for evaluation in sorted(fit.evaluations)]
+    _emit(_out_path(cfg, "calibration.csv"), write_csv, _CALIBRATION_HEADER, rows, "\n")
 
     exp_curve = calibration.com_curve(mocap, weights)
     curves = [
@@ -379,13 +350,9 @@ def cmd_analyze(args) -> int:
         print(f"wrote {svg_path}")
 
     if args.power:
-        cot_path = _out_path(cfg, "cot.csv")
-        with open(cot_path, "w", newline="") as handle:
-            handle.write("class,mean_displacement_m,velocity_mps,cost_of_transport\n")
-            for label, mean_disp, velocity, cot in cot_rows:
-                handle.write(f"{label},{mean_disp!r},{velocity!r},{cot!r}\n")
-                print(f"CoT[{label}] = {cot:.4f} (P={log.mean_power:.3f} W, v={velocity:.4f} m/s)")
-        print(f"wrote {cot_path}")
+        for label, _, velocity, cot in cot_rows:
+            print(f"CoT[{label}] = {cot:.4f} (P={log.mean_power:.3f} W, v={velocity:.4f} m/s)")
+        _emit(_out_path(cfg, "cot.csv"), write_csv, _COT_HEADER, cot_rows, "\n")
     return 0
 
 
@@ -401,46 +368,26 @@ def cmd_gait_sample(args) -> int:
     return 0
 
 
-# -- readers for the summary tables the subcommands emit -------------------------
+# -- the summary tables the subcommands emit, with \n row ends ---------------------
 
-
-def _read_table(path, expected_header):
-    with open(path, newline="") as handle:
-        rows = [line.strip() for line in handle if line.strip()]
-    if not rows or rows[0] != expected_header:
-        raise SnakesimError(f"{path}: expected header {expected_header!r}")
-    return [row.split(",") for row in rows[1:]]
+_SWEEP_HEADER = ("c", "delta_com", "energy")
+_CALIBRATION_HEADER = ("epsilon", "rms", "final_displacement")
+_COT_HEADER = ("class", "mean_displacement_m", "velocity_mps", "cost_of_transport")
 
 
 def read_sweep_csv(path):
     """c_sweep.csv -> list of (c, delta_com, energy)."""
-    try:
-        return [tuple(float(v) for v in row) for row in _read_table(path, "c,delta_com,energy")]
-    except ValueError as exc:
-        raise SnakesimError(f"{path}: non-numeric sweep row") from exc
+    return read_csv(path, _SWEEP_HEADER, lambda cells: tuple(map(float, cells)))[1]
 
 
 def read_calibration_csv(path):
     """calibration.csv -> list of (epsilon, rms, final_displacement)."""
-    try:
-        return [
-            tuple(float(v) for v in row)
-            for row in _read_table(path, "epsilon,rms,final_displacement")
-        ]
-    except ValueError as exc:
-        raise SnakesimError(f"{path}: non-numeric calibration row") from exc
+    return read_csv(path, _CALIBRATION_HEADER, lambda cells: tuple(map(float, cells)))[1]
 
 
 def read_cot_csv(path):
     """cot.csv -> list of (class_label, mean_displacement, velocity, cost_of_transport)."""
-    header = "class,mean_displacement_m,velocity_mps,cost_of_transport"
-    try:
-        return [
-            (row[0], float(row[1]), float(row[2]), float(row[3]))
-            for row in _read_table(path, header)
-        ]
-    except (ValueError, IndexError) as exc:
-        raise SnakesimError(f"{path}: bad transport-cost row") from exc
+    return read_csv(path, _COT_HEADER, lambda cells: (cells[0], *map(float, cells[1:])))[1]
 
 
 # -- argument plumbing ----------------------------------------------------------

@@ -10,7 +10,6 @@ trajectory's frame stacks of the later cycles with rigid moves of it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,7 @@ from .dynamics import DissipationParams, Trajectory, integrate_motion_trajectory
 from .errors import FileFormatError, InvalidParameter, NoConvergence, NonFiniteLoss, ShapeMismatch
 from .geometry import rigid_registration
 from .shapespace import GaitEllipse, _check_discretization, gait_to_shape_sequence
+from .tables import read_csv, write_csv
 
 __all__ = [
     "GaitBounds",
@@ -273,36 +273,18 @@ _REPORT_HEADER = ["iteration", "loss", "delta_com", "energy", "sigma", "xc", "yc
 
 def write_report_csv(path, history: list[EvaluationRecord]):
     """One row per objective evaluation, in evaluation order."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_REPORT_HEADER)
-        for rec in history:
-            writer.writerow(
-                [rec.iteration, repr(rec.loss), repr(rec.displacement), repr(rec.energy)]
-                + [repr(float(getattr(rec.gait, n))) for n in _PARAM_NAMES]
-            )
+    rows = (
+        [rec.iteration, float(rec.loss), float(rec.displacement), float(rec.energy)]
+        + [float(getattr(rec.gait, n)) for n in _PARAM_NAMES]
+        for rec in history
+    )
+    write_csv(path, _REPORT_HEADER, rows, "\r\n")
 
 
 def read_report_csv(path) -> list[EvaluationRecord]:
-    records = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != _REPORT_HEADER:
-            raise FileFormatError(f"{path}: expected header {','.join(_REPORT_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                records.append(
-                    EvaluationRecord(
-                        int(row[0]),
-                        float(row[1]),
-                        float(row[2]),
-                        float(row[3]),
-                        GaitEllipse(*(float(v) for v in row[4:10])),
-                    )
-                )
-            except (ValueError, IndexError) as exc:
-                raise FileFormatError(f"{path}: bad report row {row!r}") from exc
-    return records
+    return read_csv(path, _REPORT_HEADER, _report_record)[1]
+
+
+def _report_record(cells) -> EvaluationRecord:
+    loss, displacement, energy, *gait = map(float, cells[1:])
+    return EvaluationRecord(int(cells[0]), loss, displacement, energy, GaitEllipse(*gait))

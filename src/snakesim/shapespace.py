@@ -16,6 +16,7 @@ import numpy as np
 from .errors import FileFormatError, InvalidParameter
 from .geometry import PositionedShape, shapes_from_vertices, vertices_from_curvature
 from .geometry import curve_from_curvature  # noqa: F401 -- the per-layer benchmark wraps it here
+from .tables import read_key_values
 
 __all__ = [
     "SerpenoidPoint",
@@ -118,13 +119,13 @@ def gait_to_shape_sequence(
 # -- file formats -------------------------------------------------------------
 
 GAIT_KEYS = ("sigma", "xc", "yc", "theta", "a", "xi")
-_META_KEYS = ("timesteps", "edges", "body_length")
+_META_KEYS = {"timesteps": int, "edges": int, "body_length": float}
 
 
 def write_gait_file(path, ellipse: GaitEllipse, timesteps=None, edges=None, body_length=None):
     """Write a gait as flat `key = value` text, optionally with discretization."""
     extras = {"timesteps": timesteps, "edges": edges, "body_length": body_length}
-    with open(path, "w") as handle:
+    with open(path, "w", newline="") as handle:
         for key in GAIT_KEYS:
             handle.write(f"{key} = {float(getattr(ellipse, key))!r}\n")
         for key, value in extras.items():
@@ -134,34 +135,8 @@ def write_gait_file(path, ellipse: GaitEllipse, timesteps=None, edges=None, body
 
 def read_gait_file(path) -> tuple[GaitEllipse, dict]:
     """Parse a gait file; returns the ellipse and any extra keys found."""
-    values = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FileFormatError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in GAIT_KEYS + _META_KEYS:
-                raise FileFormatError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = float(value)
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: bad number {value.strip()!r}") from exc
+    values = read_key_values(path, {**dict.fromkeys(GAIT_KEYS, float), **_META_KEYS})
     missing = [key for key in GAIT_KEYS if key not in values]
     if missing:
         raise FileFormatError(f"{path}: missing gait keys {missing}")
-    ellipse = GaitEllipse(*(values.pop(key) for key in GAIT_KEYS))
-    meta = dict.fromkeys(_META_KEYS)
-    for key in meta:
-        if key not in values:
-            continue
-        value = values[key]
-        if key != "body_length":
-            if not value.is_integer():
-                raise FileFormatError(f"{path}: {key} must be an integer, got {value!r}")
-            value = int(value)
-        meta[key] = value
-    return ellipse, meta
+    return GaitEllipse(*(values[key] for key in GAIT_KEYS)), {key: values.get(key) for key in _META_KEYS}

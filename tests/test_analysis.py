@@ -264,6 +264,12 @@ class TestFileFormats:
         assert np.array_equal(back, matrix)
         assert labels == ["g1", "g2"]
 
+    def test_matrix_writer_needs_one_row_and_column_per_label(self, tmp_path):
+        for matrix, labels in ((np.ones((2, 3)), None), (np.eye(3), ["a", "b"]), (np.ones(3), None)):
+            with pytest.raises(ShapeMismatch):
+                write_matrix_csv(tmp_path / "xi.csv", matrix, labels=labels)
+        assert not (tmp_path / "xi.csv").exists()
+
     def test_matrix_must_be_square_in_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(",g1,g2\ng1,1.0\n")

@@ -365,6 +365,8 @@ class TestFileFormats:
         path = tmp_path / "weights.txt"
         path.write_text("# segment masses in kg\n0.115\n\n0.2\n")
         assert np.array_equal(read_weights_file(path), [0.115, 0.2])
+        path.write_text("0.115  # head\n0.2\n")  # text after # is a comment, as in gait files
+        assert np.array_equal(read_weights_file(path), [0.115, 0.2])
         path.write_text("0.1\nnot-a-weight\n")
         with pytest.raises(FileFormatError):
             read_weights_file(path)

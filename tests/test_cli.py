@@ -104,6 +104,21 @@ class TestSimulate:
         line = next(l for l in stdout.splitlines() if "body lengths" in l)
         assert float(line.split("(")[1].split()[0]) > 1e-3  # anisotropic, so it moves
 
+    def test_config_file_keys_once_and_integral_counts(self, tmp_path, capsys, gait_file):
+        config = tmp_path / "run.cfg"
+        config.write_text("timesteps = 8.0\n")  # an integral float is an integer, as in gait files
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, "simulate", gait_file, "--config", str(config), "--out", str(out))
+        assert code == 0
+        assert len(read_trajectory_csv(out / "trajectory.csv")) == 9
+        for text, where in (("timesteps = 8.5\n", "run.cfg:1"), ("epsilon = 0.3\n# x\nepsilon = 0.5\n", "run.cfg:3")):
+            config.write_text(text)
+            code, _, err = run(capsys, "simulate", gait_file, "--config", str(config), "--out", str(out))
+            assert code == 2 and where in err
+        config.write_bytes(b"epsilon = 0.3\n\xff\n")  # not UTF-8
+        code, _, err = run(capsys, "simulate", gait_file, "--config", str(config), "--out", str(out))
+        assert code == 2 and "run.cfg" in err
+
     def test_parse_errors_exit_2(self, tmp_path, capsys, gait_file):
         code, _, err = run(capsys, "simulate", str(tmp_path / "missing.txt"))
         assert code == 2 and "error" in err
@@ -420,6 +435,28 @@ class TestAnalyze:
         assert code == 2 and "nan" not in stdout
         assert "finite" in err or "--duration" in err
         assert not out.exists()  # every input is checked before the first file is written
+
+
+def test_summary_tables_end_rows_with_newline(tmp_path, capsys, mocap_file):
+    delta = tmp_path / "delta.txt"
+    write_displacements_file(delta, [0.2, 0.3])
+    power = tmp_path / "power.csv"
+    write_power_csv(power, PowerLog(np.array([0.0, 1.0]), np.array([4.0, 6.0])))
+    out = tmp_path / "run"
+    for argv in (
+        ["optimize", "--c-sweep", "--seed", "3", "--timesteps", "8", "--edges", "4", "--max-evals", "2"],
+        ["calibrate", mocap_file],
+        ["analyze", f"Exp={delta}", "--power", str(power), "--duration", "5.0"],
+    ):
+        assert run(capsys, *argv, "--out", str(out))[0] == 0
+    for name, header, reader in (
+        ("c_sweep.csv", "c,delta_com,energy", read_sweep_csv),
+        ("calibration.csv", "epsilon,rms,final_displacement", read_calibration_csv),
+        ("cot.csv", "class,mean_displacement_m,velocity_mps,cost_of_transport", read_cot_csv),
+    ):
+        rows = [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in reader(out / name)]
+        assert (out / name).read_bytes() == "".join(line + "\n" for line in [header] + rows).encode()
+
 
 class TestGaitSample:
     def test_deterministic_file(self, tmp_path, capsys):

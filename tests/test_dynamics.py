@@ -727,6 +727,12 @@ class TestTrajectoryFiles:
         with pytest.raises(FileFormatError):
             read_trajectory_csv(path)
 
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("t,k,x,y\r\n")
+        with pytest.raises(FileFormatError, match="no frames"):
+            read_trajectory_csv(path)
+
     def test_vertex_gap_rejected(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("t,k,x,y\n0,0,0.0,0.0\n0,2,1.0,0.0\n")

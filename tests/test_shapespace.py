@@ -143,6 +143,13 @@ class TestFiles:
             with pytest.raises(FileFormatError):
                 read_gait_file(path)
 
+    def test_gait_file_rejects_repeated_keys(self, tmp_path):
+        path = tmp_path / "twice.txt"
+        write_gait_file(path, GaitEllipse(0.5, 0, 0, 0, 3, 1))
+        path.write_text(path.read_text() + "a = 5.0\n")
+        with pytest.raises(FileFormatError, match="twice.txt:7: second value for key 'a'"):
+            read_gait_file(path)
+
     def test_gait_file_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "typo.txt"
         write_gait_file(path, GaitEllipse(0.5, 0, 0, 0, 1, 1))
