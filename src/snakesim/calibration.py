@@ -4,7 +4,8 @@ The pipeline: marker frames -> positioned shapes -> re-integrated trajectory
 under candidate dissipation parameters -> center-of-mass curve -> RMS
 distance to the measured curve.  The fitted ratio is the one whose CoM curve
 has the least RMS distance to the measurement: a log-spaced grid of ratios
-locates it, and a bounded Brent search on the squared RMS refines it.
+locates it, and a bounded Brent search on the squared RMS refines it.  Each
+ratio costs one `integrate_shape_sequence`, which solves all steps of the recording at once.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DissipationParams, Trajectory, integrate_motion_trajectory
-from .errors import EmptyInput, FileFormatError, InvalidAnisotropy, ShapeMismatch
+from .dynamics import DissipationParams, Trajectory, integrate_shape_sequence
+from .dynamics import integrate_motion_trajectory  # noqa: F401 -- bench/workloads.py traces the step-by-step path here
+from .errors import EmptyInput, FileFormatError, InvalidAnisotropy, InvalidParameter, ShapeMismatch
 from .geometry import PositionedShape, _as_points, center_of_mass, shapes_from_vertices
 from .geometry import tangents_from_vertices  # noqa: F401 -- bench/workloads.py traces the shape layer here
 from .tables import read_csv, read_numbers, write_csv, write_numbers
@@ -114,6 +116,8 @@ def extract_shapes(mocap: MocapTrajectory, target_steps: int | None = None) -> l
     """
     if mocap.num_markers < 2:
         raise ShapeMismatch("need at least 2 markers per frame")
+    if target_steps is not None and not (isinstance(target_steps, (int, np.integer)) and target_steps >= 1):
+        raise InvalidParameter(f"target_steps must be an integer of at least 1, got {target_steps!r}")
     frames = mocap.frames
     if target_steps is not None and target_steps < len(frames):
         idx = np.round(np.linspace(0, len(frames) - 1, target_steps)).astype(int)
@@ -123,7 +127,7 @@ def extract_shapes(mocap: MocapTrajectory, target_steps: int | None = None) -> l
 
 def resimulate(mocap: MocapTrajectory, params: DissipationParams) -> Trajectory:
     """Re-integrate the executed shape sequence from the first measured pose."""
-    return integrate_motion_trajectory(extract_shapes(mocap), params)
+    return integrate_shape_sequence(extract_shapes(mocap), params)
 
 
 def com_curve(source, weights, times=None) -> ComCurve:
@@ -159,7 +163,7 @@ def rms_error(a: ComCurve, b: ComCurve) -> float:
 
 def _evaluate(shapes, weights, exp_curve, epsilon):
     """((epsilon, rms, final displacement), resimulated CoM curve) for one ratio."""
-    traj = integrate_motion_trajectory(shapes, DissipationParams(weights, epsilon))
+    traj = integrate_shape_sequence(shapes, DissipationParams(weights, epsilon))
     curve = com_curve(traj, weights, times=exp_curve.times)
     return (epsilon, rms_error(curve, exp_curve), curve.final_displacement), curve
 
@@ -186,6 +190,8 @@ def fit_anisotropy(
     w = np.asarray(weights, dtype=float).ravel()
     exp_curve = com_curve(exp_mocap, w)
     shapes = extract_shapes(exp_mocap)  # the same executed shapes for every ratio
+    if len(shapes) < 2:
+        raise EmptyInput(f"need at least 2 frames to fit the anisotropy ratio, got {len(shapes)}")
 
     history, curves = [], []
 

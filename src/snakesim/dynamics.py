@@ -14,6 +14,9 @@ The step path reads the stored (N, 2) vertex and tangent arrays as x + iy
 with e^{i theta}, and the momentum is the 3-vector (rotational, x, y).  The
 reference residual that accepts every step and the step's energy come from
 one pass, `_momentum_and_energy`.  A non-finite residual never counts as converged.
+It and `_AngleEquation` also take (T, N, 2) stacks of step pairs, whose roots are independent under
+rigid motions: calibration solves them at once (`integrate_shape_sequence`), while `simulate_gait`
+keeps one `position_step` per step, the count the benchmark's `sweep` check reads.
 A `Trajectory` holds its frames as (T+1, N, 2) vertex and tangent stacks, checked
 once, and derives `PositionedShape` objects only for callers that ask for them.
 """
@@ -23,11 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import FileFormatError, InvalidAnisotropy, InvalidParameter, NoConvergence, NonPositiveWeight, ShapeMismatch
-from .geometry import PositionedShape, RigidMotion, _check_frames, _shape_views, _weights, apply_rigid_motion
+from .geometry import PositionedShape, RigidMotion, _check_frames, _shape_views, _turn, _weights
 from .geometry import center_of_mass, complex_view, rigid_registration, shapes_from_vertices
 from .tables import read_csv, write_csv
 
@@ -41,6 +45,7 @@ __all__ = [
     "geometric_momentum",
     "position_step",
     "integrate_motion_trajectory",
+    "integrate_shape_sequence",
     "read_trajectory_csv",
     "write_trajectory_csv",
     "write_step_energies_csv",
@@ -49,6 +54,7 @@ __all__ = [
 
 RESIDUAL_RTOL = 1e-10
 _POLISH_FACTOR = 1e-4
+_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,7 @@ def _check_pair(prev: PositionedShape, nxt: PositionedShape, params: Dissipation
 def step_energy(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams) -> float:
     """Energy dissipated by moving the vertices of `prev` to those of `nxt`."""
     _check_pair(prev, nxt, params)
-    return _momentum_and_energy(prev, nxt, params)[1]
+    return float(_momentum_and_energy(prev, nxt, params)[1])
 
 
 def total_energy(traj: Trajectory) -> float:
@@ -140,12 +146,13 @@ def total_energy(traj: Trajectory) -> float:
     return float(np.sum(traj.step_energies))
 
 
-def _momentum_and_energy(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams):
+def _momentum_and_energy(prev, nxt, params: DissipationParams):
     """Momentum 3-vector (rotational, x, y), with the -1/2 prefactor, and the step energy.
 
     On the vertices p, q as x + iy, d = q - p and D d = w (d + (eps - 1) (t . d) t) for either
     shape's tangents t, unit or not: rot = -1/2 Im(vdot(q, D_prev d) + vdot(p, D_next d)),
     xy = -1/4 sum((D_prev + D_next) d) and energy = 1/4 Re vdot((D_prev + D_next) d, d).
+    Sums run over the last axis, so (T, N, 2) stacks of step pairs give (T, 3) and (T,).
     """
     w, eps = params.weights, params.epsilon
     p, q = complex_view(prev.vertices), complex_view(nxt.vertices)
@@ -155,9 +162,9 @@ def _momentum_and_energy(prev: PositionedShape, nxt: PositionedShape, params: Di
     d_prev = wd + a * (s.conjugate() * d).real * s
     d_next = wd + a * (u.conjugate() * d).real * u
     d_sum = d_prev + d_next
-    xy = -0.25 * d_sum.sum()
-    rot = -0.5 * (np.vdot(q, d_prev) + np.vdot(p, d_next)).imag
-    return np.array([rot, xy.real, xy.imag]), 0.25 * float(np.vdot(d_sum, d).real)
+    xy = -0.25 * d_sum.sum(axis=-1)
+    rot = -0.5 * (q.conjugate() * d_prev + p.conjugate() * d_next).sum(axis=-1).imag
+    return np.array([rot, xy.real, xy.imag]).T, 0.25 * (d_sum.conjugate() * d).sum(axis=-1).real
 
 
 def geometric_momentum(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams) -> np.ndarray:
@@ -180,32 +187,33 @@ class _AngleEquation:
     With b = b(theta) they vanish and the rotational row no longer depends
     on the origin: g(theta) is the momentum's rotational component.  Twelve
     weighted sums, computed once, make each evaluation a few dozen scalar
-    operations.
+    operations on Python numbers; (T, N, 2) stacks of step pairs give (T,) ones.
     """
 
-    def __init__(self, prev: PositionedShape, nxt: PositionedShape, params: DissipationParams):
+    def __init__(self, prev, nxt, params: DissipationParams):
         w, eps = params.weights, params.epsilon
         self.total = total = float(w.sum())
         p, v = complex_view(prev.vertices), complex_view(nxt.vertices)
-        self.p_bar, self.v_bar = complex(np.dot(w, p)) / total, complex(np.dot(w, v)) / total
+        bars = np.array([p, v]) @ w / total
         # the pairwise products of the columns 1, conj(V), conj(P), weighted by
         # gamma s^2 (prev tangents) and gamma u^2 (next tangents), give every sum
-        cols = np.empty((len(w), 3), dtype=complex)
-        cols[:, 0] = 1.0
-        np.conjugate(v - self.v_bar, out=cols[:, 1])
-        np.conjugate(p - self.p_bar, out=cols[:, 2])
+        cols = np.empty(p.shape + (3,), dtype=complex)
+        cols[..., 0] = 1.0
+        np.conjugate(v - bars[1, ..., None], out=cols[..., 1])
+        np.conjugate(p - bars[0, ..., None], out=cols[..., 2])
         t2 = np.array([complex_view(prev.tangents), complex_view(nxt.tangents)])
         t2 *= t2
         t2 *= 0.5 * (eps - 1.0) * w
-        prev_sums, next_sums = ((t2[:, None, :] * cols.T) @ cols).tolist()
-        (self.s2, self.s2v, self.s2p), (_, self.s2vv, self.s2vp), _ = prev_sums
-        (self.u2, self.u2v, self.u2p), _, (_, self.u2pv, self.u2pp) = next_sums
-        self.p1 = 0.5 * (1.0 + eps) * complex(np.vdot(cols[:, 2], w * cols[:, 1]))
+        sums = (t2[..., None, :] * cols.swapaxes(-1, -2)) @ cols
+        p1 = 0.5 * (1.0 + eps) * (cols[..., 2].conjugate() * w * cols[..., 1]).sum(axis=-1)
+        sums, (self.p_bar, self.v_bar), self.p1 = (sums.tolist(), bars.tolist(), complex(p1)) if p.ndim == 1 else (sums.transpose(0, 2, 3, 1), bars, p1)
+        (self.s2, self.s2v, self.s2p), (_, self.s2vv, self.s2vp), _ = sums[0]
+        (self.u2, self.u2v, self.u2p), _, (_, self.u2pv, self.u2pp) = sums[1]
         self.two_b = total * (1.0 + eps)
 
-    def __call__(self, theta: float) -> tuple[float, float, complex]:
-        """g(theta), g'(theta) taken along b(theta), and the world translation."""
-        r = complex(math.cos(theta), math.sin(theta))
+    def __call__(self, theta):
+        """g(theta), g'(theta) taken along b(theta), and the world translation, for a float or a (T,) array."""
+        r = np.exp(1j * theta) if isinstance(theta, np.ndarray) else complex(math.cos(theta), math.sin(theta))
         rc, r2, two_b = r.conjugate(), r * r, self.two_b
         h = self.s2 + r2 * self.u2
         det = two_b * two_b - (h.real * h.real + h.imag * h.imag)
@@ -253,6 +261,7 @@ def _solve_angle(equation: _AngleEquation, seed: float, accept_tol, polish_tol, 
     theta, iterations = seed, 0
     g, dg, b = equation(seed)
     g_seed = g
+    # `integrate_shape_sequence` copies these Newton rules for all steps at once and must match them
     while not abs(g) <= polish_tol and iterations < max_iterations:
         step = -g / dg if dg else math.inf
         if not abs(step) <= _MAX_NEWTON_STEP:
@@ -302,13 +311,19 @@ def _solve_angle(equation: _AngleEquation, seed: float, accept_tol, polish_tol, 
     return theta, iterations, equation(theta)[2] if b is None else b
 
 
+def _acceptance_bound(vertices, total: float, tol: float):
+    """tol * (sum of weights) * polyline length of the arriving (..., N, 2) vertices: a step's largest accepted |momentum|."""
+    z = complex_view(vertices)
+    return tol * total * np.maximum(np.abs(z[..., 1:] - z[..., :-1]).sum(axis=-1), 1e-300)
+
+
 def position_step(
     prev: PositionedShape,
     next_shape: PositionedShape,
     params: DissipationParams,
     guess: RigidMotion | None = None,
     tol: float = RESIDUAL_RTOL,
-    max_iterations: int = 100,
+    max_iterations: int = _MAX_ITERATIONS,
 ) -> StepSolution:
     """Rigidly place `next_shape` so the step momentum from `prev` vanishes.
 
@@ -325,7 +340,7 @@ def position_step(
     """
     _check_pair(prev, next_shape, params)
     equation = _AngleEquation(prev, next_shape, params)
-    accept_tol = tol * equation.total * max(next_shape.polyline_length, 1e-300)
+    accept_tol = float(_acceptance_bound(next_shape.vertices, equation.total, tol))
     if guess is None:
         seed = rigid_registration(next_shape.vertices, prev.vertices, params.weights).angle
     else:
@@ -335,7 +350,7 @@ def position_step(
 
     theta, iterations, b = _solve_angle(equation, seed, accept_tol, _POLISH_FACTOR * accept_tol, max_iterations)
     motion = RigidMotion(theta, np.array([b.real, b.imag]))
-    positioned = apply_rigid_motion(motion, next_shape)
+    positioned = _shape_views(*motion.move(next_shape.vertices[None], next_shape.tangents[None]))[0]  # unchecked: a NaN fails below
     residual, energy = _momentum_and_energy(prev, positioned, params)
     norm = math.hypot(*residual)
     if not norm <= accept_tol:  # true for a NaN norm as well
@@ -343,7 +358,7 @@ def position_step(
             f"|momentum| = {norm:.3e} above tolerance {accept_tol:.3e} after {iterations} iterations",
             residual=residual, iterations=iterations,
         )
-    return StepSolution(motion, positioned, residual, iterations, energy)
+    return StepSolution(motion, positioned, residual, iterations, float(energy))
 
 
 def integrate_motion_trajectory(shapes: list[PositionedShape], params: DissipationParams) -> Trajectory:
@@ -369,6 +384,55 @@ def integrate_motion_trajectory(shapes: list[PositionedShape], params: Dissipati
     vertices = np.array([shape.vertices for shape in positioned])
     tangents = np.array([shape.tangents for shape in positioned])
     return Trajectory(vertices, tangents, energies, params)
+
+
+def integrate_shape_sequence(shapes: list[PositionedShape], params: DissipationParams) -> Trajectory:
+    """Position a whole shape sequence, solving the momentum roots of all its steps at once.
+
+    The metric is invariant under rigid motions, so each step's relative motion depends on its two shapes
+    alone: Newton on the (T,) angles solves every pair in its own input frame, seeded and stopped per step as
+    in `integrate_motion_trajectory`, and a step that misses its bound goes to `position_step` itself.
+    """
+    if not shapes or any(shape.num_vertices != len(params.weights) for shape in shapes):
+        raise ShapeMismatch(f"need one or more shapes of {len(params.weights)} vertices, one per weight")
+    verts = np.array([shape.vertices for shape in shapes])
+    tangs = np.array([shape.tangents for shape in shapes])
+    if len(shapes) == 1:
+        return Trajectory(verts, tangs, np.empty(0), params)
+    prev = SimpleNamespace(vertices=verts[:-1], tangents=tangs[:-1])
+    nxt = SimpleNamespace(vertices=verts[1:], tangents=tangs[1:])
+    equation = _AngleEquation(prev, nxt, params)
+    accept_tol = _acceptance_bound(nxt.vertices, equation.total, RESIDUAL_RTOL)
+    theta = np.zeros(len(shapes) - 1)
+    theta[0] = rigid_registration(verts[1], verts[0], params.weights).angle
+    g, dg, b = equation(theta)
+    active = np.ones(len(theta), dtype=bool)
+    # per step, the Newton rules of `_solve_angle`, which this loop must match
+    for _ in range(_MAX_ITERATIONS):
+        step = np.divide(-g, dg, out=np.full_like(g, np.inf), where=dg != 0)
+        active &= ~(np.abs(g) <= _POLISH_FACTOR * accept_tol) & (np.abs(step) <= _MAX_NEWTON_STEP)
+        if not active.any():
+            break
+        trial = np.where(active, theta + step, theta)
+        g_new, dg_new, b_new = equation(trial)
+        active &= np.abs(g_new) < np.abs(g)
+        theta, g, dg, b = (np.where(active, new, old) for new, old in ((trial, theta), (g_new, g), (dg_new, dg), (b_new, b)))
+    r = np.exp(1j * theta)[:, None]
+    placed = SimpleNamespace(vertices=_turn(r, nxt.vertices, b[:, None]), tangents=_turn(r, nxt.tangents))
+    residual, energies = _momentum_and_energy(prev, placed, params)
+    accepted = (np.abs(g) <= accept_tol) & (np.linalg.norm(residual, axis=-1) <= accept_tol)
+    for t in (np.flatnonzero(~accepted) + 1).tolist():
+        try:
+            solution = position_step(shapes[t - 1], shapes[t], params, guess=RigidMotion() if t > 1 else None)
+        except NoConvergence as exc:
+            exc.args = (f"timestep {t}: {exc}",)  # keeps residual and iterations
+            raise
+        theta[t - 1], b[t - 1], energies[t - 1] = solution.motion.angle, complex(*solution.motion.translation), solution.energy
+    # frame t turns by e^{i (theta_1 + ... + theta_t)} and shifts by the b_k, k <= t, each turned as frame k - 1
+    rotors = np.exp(1j * np.cumsum(theta))
+    shifts = np.cumsum(np.concatenate(([1.0], rotors[:-1])) * b)
+    verts[1:], tangs[1:] = _turn(rotors[:, None], nxt.vertices, shifts[:, None]), _turn(rotors[:, None], nxt.tangents)
+    return Trajectory(verts, tangs, energies, params)
 
 
 # -- file formats -------------------------------------------------------------

@@ -130,7 +130,7 @@ def write_gait_file(path, ellipse: GaitEllipse, timesteps=None, edges=None, body
             handle.write(f"{key} = {float(getattr(ellipse, key))!r}\n")
         for key, value in extras.items():
             if value is not None:
-                handle.write(f"{key} = {value!r}\n")
+                handle.write(f"{key} = {np.asarray(value).item()!r}\n")  # numpy scalars as plain numbers
 
 
 def read_gait_file(path) -> tuple[GaitEllipse, dict]:

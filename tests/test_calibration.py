@@ -23,6 +23,7 @@ from snakesim.errors import (
     EmptyInput,
     FileFormatError,
     InvalidAnisotropy,
+    InvalidParameter,
     NonPositiveWeight,
     ShapeMismatch,
 )
@@ -75,6 +76,14 @@ class TestExtractShapes:
             assert np.array_equal(shape.vertices, frame)
             assert np.array_equal(shape.tangents, tangents_from_vertices(frame))
 
+    def test_target_steps_must_be_a_positive_integer(self):
+        mocap, _ = synthetic_mocap(0.3, timesteps=10, edges=5)
+        for bad in (-1, 0, 2.5, 3.0, "3", np.float64(4.0)):
+            with pytest.raises(InvalidParameter):
+                extract_shapes(mocap, target_steps=bad)
+        assert len(extract_shapes(mocap, target_steps=1)) == 1
+        assert len(extract_shapes(mocap, target_steps=np.int64(4))) == 4
+
     def test_single_marker_rejected(self):
         mocap = MocapTrajectory(np.arange(3.0), np.zeros((3, 1, 2)))
         with pytest.raises(ShapeMismatch):
@@ -110,6 +119,11 @@ class TestResimulate:
         source = com_curve(mocap, params.weights)
         redone = com_curve(traj, params.weights, times=mocap.times)
         assert np.max(np.linalg.norm(source.positions - redone.positions, axis=1)) < 1e-8 * BODY_LENGTH
+
+    def test_one_frame_is_a_zero_step_trajectory(self):
+        mocap, params = synthetic_mocap(0.3, timesteps=10, edges=5)
+        traj = resimulate(MocapTrajectory(mocap.times[:1], mocap.frames[:1]), params)
+        assert np.array_equal(traj.vertices, mocap.frames[:1]) and traj.step_energies.shape == (0,)
 
     def test_motionless_markers_stay_put(self):
         frame = np.array([[0.0, 0.0], [0.3, 0.1], [0.5, 0.3]])
@@ -267,6 +281,17 @@ class TestFitAnisotropy:
         fit = cal.fit_anisotropy(mocap, params.weights)
         assert len(fit.evaluations) > cal.GRID_POINTS
         assert len(calls) == 1
+
+    def test_fewer_than_two_frames_rejected_before_any_evaluation(self, monkeypatch):
+        import snakesim.calibration as cal
+
+        def never(*args, **kwargs):
+            raise AssertionError("a ratio was evaluated")
+
+        monkeypatch.setattr(cal, "integrate_shape_sequence", never)
+        mocap, params = synthetic_mocap(0.3, timesteps=6, edges=4)
+        with pytest.raises(EmptyInput, match="at least 2 frames"):
+            cal.fit_anisotropy(MocapTrajectory(mocap.times[:1], mocap.frames[:1]), params.weights)
 
     def test_unpacks_as_pair(self):
         fit = AnisotropyFit(0.25, 1e-9, [(0.25, 1e-9, 0.1)])

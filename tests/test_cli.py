@@ -303,7 +303,7 @@ class TestCalibrate:
     def test_resimulates_once_per_evaluation(self, tmp_path, capsys, mocap_file, monkeypatch):
         import snakesim.calibration as calibration
 
-        calls = {"integrate_motion_trajectory": [], "extract_shapes": []}
+        calls = {"integrate_shape_sequence": [], "extract_shapes": []}
 
         def counting(name):
             original = getattr(calibration, name)
@@ -320,8 +320,18 @@ class TestCalibrate:
         code, _, _ = run(capsys, "calibrate", mocap_file, "--out", str(out))
         assert code == 0
         # one integration of the recorded shapes per evaluated ratio, extracted once
-        assert len(calls["integrate_motion_trajectory"]) == len(read_calibration_csv(out / "calibration.csv"))
+        assert len(calls["integrate_shape_sequence"]) == len(read_calibration_csv(out / "calibration.csv"))
         assert len(calls["extract_shapes"]) == 1
+
+    def test_one_frame_recording_exits_2_without_output(self, tmp_path, capsys, mocap_file):
+        one = tmp_path / "one.csv"
+        with open(mocap_file) as handle:
+            one.write_text("".join(handle.readlines()[:2]))
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "calibrate", str(one), "--out", str(out))
+        assert code == 2 and "at least 2 frames" in err
+        assert "fitted epsilon" not in stdout
+        assert not out.exists() or not any(out.iterdir())
 
     def test_nan_marker_exits_2(self, tmp_path, capsys, mocap_file):
         bad = tmp_path / "nan.csv"

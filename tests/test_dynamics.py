@@ -9,6 +9,7 @@ from snakesim.dynamics import (
     Trajectory,
     geometric_momentum,
     integrate_motion_trajectory,
+    integrate_shape_sequence,
     local_tensor,
     position_step,
     read_step_energies_csv,
@@ -611,6 +612,111 @@ class TestIntegrateMotionTrajectory:
             dyn.integrate_motion_trajectory(shapes, params)
         assert info.value.iterations == 7
         assert np.array_equal(info.value.residual, residual)
+
+
+class TestIntegrateShapeSequence:
+    """The lockstep integrator against the step-by-step one, which stays the reference."""
+
+    def test_agrees_with_step_by_step_integration(self):
+        from snakesim.optimize import random_gait
+
+        for seed in range(40):
+            cycle = gait_to_shape_sequence(random_gait(seed), 50, 11, 0.92)
+            for eps in (0.05, 0.1865, 0.5, 1.0):
+                params = DissipationParams.uniform(1.38, 12, eps)
+                expected = integrate_motion_trajectory(cycle + [cycle[0]], params)
+                found = integrate_shape_sequence(cycle + [cycle[0]], params)
+                assert np.max(np.abs(found.vertices - expected.vertices)) <= 1e-13
+                assert np.max(np.abs(found.tangents - expected.tangents)) <= 1e-13
+                gap = np.abs(found.step_energies - expected.step_energies)
+                assert np.all(gap <= 1e-12 * np.abs(expected.step_energies))
+
+    def test_coarse_gaits_take_the_same_root(self, monkeypatch):
+        # outside DEFAULT_BOUNDS and played in few timesteps: steps of up to a
+        # turn, where Newton often stops and the scan picks among several roots
+        import snakesim.dynamics as dyn
+
+        handed_over = []
+        original = dyn.position_step
+
+        def counted(*args, **kwargs):
+            handed_over.append(args)
+            return original(*args, **kwargs)
+
+        rng = np.random.default_rng(2024)
+        steps = 0
+        for k in range(400):
+            timesteps = int(rng.integers(3, 11))
+            gait = GaitEllipse(sigma=rng.uniform(0.0, 1.0), xc=rng.uniform(-5.0, 5.0), yc=rng.uniform(-5.0, 5.0),
+                               theta=rng.uniform(0.0, np.pi), a=rng.uniform(0.0, 16.0), xi=rng.uniform(0.5, 1.5))
+            cycle = gait_to_shape_sequence(gait, timesteps, 11, 0.92)
+            params = DissipationParams.uniform(1.38, 12, (0.05, 0.1865, 0.5, 0.9)[k % 4])
+            expected = integrate_motion_trajectory(cycle + [cycle[0]], params)
+            with monkeypatch.context() as patch:
+                patch.setattr(dyn, "position_step", counted)
+                found = integrate_shape_sequence(cycle + [cycle[0]], params)
+            assert np.max(np.abs(found.vertices - expected.vertices)) <= 1e-12, (k, gait)
+            steps += timesteps
+        assert 0 < len(handed_over) < steps  # both paths ran
+
+    def test_unaccepted_steps_go_to_position_step(self, monkeypatch):
+        import snakesim.dynamics as dyn
+
+        guesses = []
+        original = dyn.position_step
+
+        def counted(prev, nxt, params, guess=None):
+            guesses.append(guess)
+            return original(prev, nxt, params, guess=guess)
+
+        monkeypatch.setattr(dyn, "position_step", counted)
+        cycle = gait_to_shape_sequence(COARSE_GAIT, 4, 11, 0.92)
+        params = DissipationParams.uniform(1.38, 12, 0.1865)
+        found = integrate_shape_sequence(cycle + [cycle[0]], params)
+        # step 1 from the registration angle, the later steps from the angle of their predecessor
+        assert guesses[0] is None and len(guesses) >= 2
+        assert all(guess.angle == 0.0 and not guess.translation.any() for guess in guesses[1:])
+        expected = integrate_motion_trajectory(cycle + [cycle[0]], params)
+        assert np.max(np.abs(found.vertices - expected.vertices)) <= 1e-13
+
+    def test_failure_names_the_timestep_and_keeps_the_solver_record(self, monkeypatch):
+        import snakesim.dynamics as dyn
+
+        residual = np.array([1e-3, -2e-4, 5e-5])
+
+        def always_fails(*args, **kwargs):
+            raise NoConvergence("synthetic failure", residual=residual, iterations=7)
+
+        monkeypatch.setattr(dyn, "position_step", always_fails)
+        cycle = gait_to_shape_sequence(COARSE_GAIT, 4, 11, 0.92)
+        with pytest.raises(NoConvergence, match="timestep 1: synthetic failure") as info:
+            dyn.integrate_shape_sequence(cycle + [cycle[0]], DissipationParams.uniform(1.38, 12, 0.1865))
+        assert info.value.iterations == 7
+        assert np.array_equal(info.value.residual, residual)
+
+    def test_accepted_steps_need_no_step_solve(self, monkeypatch):
+        import snakesim.dynamics as dyn
+
+        def never(*args, **kwargs):
+            raise AssertionError("position_step called")
+
+        monkeypatch.setattr(dyn, "position_step", never)
+        traj = dyn.integrate_shape_sequence(reference_shapes(), DissipationParams.uniform(1.38, 9, 0.3))
+        assert len(traj.step_energies) == 24
+
+    def test_one_shape_is_a_zero_step_trajectory(self):
+        shape = reference_shapes()[3]
+        traj = integrate_shape_sequence([shape], DissipationParams.uniform(1.38, 9, 0.3))
+        assert np.array_equal(traj.vertices, shape.vertices[None]) and traj.step_energies.shape == (0,)
+
+    def test_rejects_empty_and_mismatched_sequences(self):
+        shapes = reference_shapes(edges=8)
+        with pytest.raises(ShapeMismatch):
+            integrate_shape_sequence([], DissipationParams.uniform(1.38, 9, 0.3))
+        with pytest.raises(ShapeMismatch):
+            integrate_shape_sequence(shapes, DissipationParams.uniform(1.38, 8, 0.3))
+        with pytest.raises(ShapeMismatch):
+            integrate_shape_sequence(shapes[:2] + reference_shapes(edges=6)[:2], DissipationParams.uniform(1.38, 9, 0.3))
 
 
 class TestTrajectoryStacks:

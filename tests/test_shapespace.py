@@ -118,6 +118,15 @@ class TestFiles:
         assert meta["timesteps"] == 50 and meta["edges"] == 11
         assert meta["body_length"] == 0.92
 
+    def test_gait_file_round_trip_from_numpy_scalars(self, tmp_path):
+        e = GaitEllipse(sigma=0.55, xc=1.25, yc=-2.0, theta=1.1, a=4.5, xi=0.75)
+        path = tmp_path / "gait.txt"
+        write_gait_file(path, e, np.int64(50), np.int64(11), np.float64(0.92))
+        assert "np." not in path.read_text()
+        back, meta = read_gait_file(path)
+        assert back == e
+        assert meta == {"timesteps": 50, "edges": 11, "body_length": 0.92}
+
     def test_gait_file_without_metadata(self, tmp_path):
         path = tmp_path / "bare.txt"
         write_gait_file(path, GaitEllipse(0.5, 0, 0, 0, 1, 1))
