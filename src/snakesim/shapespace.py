@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FileFormatError, InvalidParameter
-from .geometry import PositionedShape, shapes_from_vertices, vertices_from_curvature
+from .geometry import PositionedShape, _check_frames, _shape_views, tangents_from_vertices, vertices_from_curvature
 from .geometry import curve_from_curvature  # noqa: F401 -- the per-layer benchmark wraps it here
 from .tables import read_key_values
 
@@ -89,12 +89,13 @@ def sample_gait(ellipse: GaitEllipse, t) -> SerpenoidPoint:
     return SerpenoidPoint(c * u - s * v + ellipse.xc, s * u + c * v + ellipse.yc)
 
 
-def _check_discretization(timesteps: int, edges: int, body_length: float):
-    """Reject fewer than 2 timesteps per cycle or 2 body edges, or a body length that is not positive."""
-    if timesteps < 2 or edges < 2:
-        raise InvalidParameter(f"need timesteps >= 2 and edges >= 2, got {timesteps} and {edges}")
-    if not body_length > 0:
-        raise InvalidParameter(f"body length must be positive, got {body_length}")
+def _check_discretization(timesteps=None, edges=None, body_length=None):
+    """Reject, of the values given, timesteps per cycle or body edges below 2 or not whole, or a body length not finite and positive."""
+    for name, count in (("timesteps", timesteps), ("edges", edges)):
+        if count is not None and not (count >= 2 and float(count).is_integer()):
+            raise InvalidParameter(f"need a whole number of {name} >= 2, got {count}")
+    if body_length is not None and not 0 < body_length < np.inf:
+        raise InvalidParameter(f"body length must be finite and positive, got {body_length}")
 
 
 def gait_to_shape_sequence(
@@ -107,13 +108,24 @@ def gait_to_shape_sequence(
     stations s = i/edges expected by curve_from_curvature; all timesteps are
     sampled and reconstructed in one array pass.
     """
+    return _shape_views(*_cycle_stacks(ellipse, timesteps, edges, body_length))[:-1]
+
+
+def _cycle_stacks(ellipse: GaitEllipse, timesteps: int, edges: int, body_length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (timesteps + 1, edges + 1, 2) vertex and tangent stacks of the closed cycle.
+
+    Frames 0..timesteps-1 are the shapes of `gait_to_shape_sequence`, and the
+    last frame is a copy of frame 0, which closes the cycle.
+    """
     _check_discretization(timesteps, edges, body_length)
     stations = np.arange(edges) / edges
     points = sample_gait(ellipse, np.arange(timesteps) / timesteps)
     # (timesteps, edges) curvature: one row of station samples per timestep
     column = SerpenoidPoint(points.w1[:, None], points.w2[:, None])
     kappa = serpenoid_curvature(column, ellipse.xi, stations)
-    return shapes_from_vertices(vertices_from_curvature(kappa, body_length))
+    verts = vertices_from_curvature(kappa, body_length)
+    verts = np.concatenate((verts, verts[:1]))
+    return _check_frames(verts, tangents_from_vertices(verts), stacked=True)
 
 
 # -- file formats -------------------------------------------------------------
@@ -123,14 +135,20 @@ _META_KEYS = {"timesteps": int, "edges": int, "body_length": float}
 
 
 def write_gait_file(path, ellipse: GaitEllipse, timesteps=None, edges=None, body_length=None):
-    """Write a gait as flat `key = value` text, optionally with discretization."""
-    extras = {"timesteps": timesteps, "edges": edges, "body_length": body_length}
+    """Write a gait as flat `key = value` text, optionally with discretization.
+
+    Each discretization value given is checked as a simulation of it would be,
+    so the file reads back and simulates; a bad one raises `InvalidParameter`
+    before the file is opened.
+    """
+    given = {"timesteps": timesteps, "edges": edges, "body_length": body_length}
+    extras = {key: np.asarray(value).item() for key, value in given.items() if value is not None}  # numpy scalars as plain numbers
+    _check_discretization(**extras)
     with open(path, "w", newline="") as handle:
         for key in GAIT_KEYS:
             handle.write(f"{key} = {float(getattr(ellipse, key))!r}\n")
         for key, value in extras.items():
-            if value is not None:
-                handle.write(f"{key} = {np.asarray(value).item()!r}\n")  # numpy scalars as plain numbers
+            handle.write(f"{key} = {value!r}\n")
 
 
 def read_gait_file(path) -> tuple[GaitEllipse, dict]:

@@ -253,28 +253,28 @@ class TestOptimize:
         import snakesim.cli as cli
         import snakesim.optimize as opt
 
-        # every evaluate_gait call runs one simulate_gait looked up in the
-        # optimize module, so this counts evaluate_gait calls under any name
-        simulations, recorded = [], []
-        simulate, search = opt.simulate_gait, cli.optimize_gait
+        # every evaluate_gait call makes one forward solve, `_integrate_stacks`
+        # looked up in the optimize module, so this counts evaluate_gait calls under any name
+        solves, recorded = [], []
+        solve, search = opt._integrate_stacks, cli.optimize_gait
 
-        def counted_simulate(*args):
-            simulations.append(args[0])
-            return simulate(*args)
+        def counted_solve(*args):
+            solves.append(args)
+            return solve(*args)
 
         def counted_search(*args, **kwargs):
             best, history = search(*args, **kwargs)
             recorded.extend(history)
             return best, history
 
-        monkeypatch.setattr(opt, "simulate_gait", counted_simulate)
+        monkeypatch.setattr(opt, "_integrate_stacks", counted_solve)
         monkeypatch.setattr(cli, "optimize_gait", counted_search)
         code, _, _ = run(
             capsys, "optimize", "--seed", "3", "--timesteps", "8", "--edges", "5",
             "--max-evals", "6", "--c-sweep", "--jobs", "1", "--out", str(tmp_path / "run"),
         )
         assert code == 0
-        assert len(simulations) == len(recorded)
+        assert len(recorded) > 0 and len(solves) == len(recorded)
 
     def test_c_sweep_parallel_matches_grid(self, tmp_path, capsys):
         out = tmp_path / "run"

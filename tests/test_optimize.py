@@ -30,6 +30,12 @@ from snakesim.geometry import RigidMotion, rigid_registration
 from snakesim.shapespace import GaitEllipse, gait_to_shape_sequence
 
 REFERENCE_GAIT = GaitEllipse(sigma=1.0, xc=0.0, yc=0.0, theta=0.0, a=3.0, xi=1.0)
+# the coarse gait of test_dynamics: in 4 timesteps each step turns the body by 0.3-0.9 rad, and
+# the lockstep Newton leaves 3 of the 4 steps to `position_step`
+COARSE_GAIT = GaitEllipse(
+    sigma=0.6982090874995195, xc=2.5306626580087217, yc=2.3265284672162814,
+    theta=0.17953936059562067, a=13.262084647248928, xi=0.8920442003407526,
+)
 
 # net CoM travel of the reference gait over one 50-step cycle at the fitted
 # anisotropy ratio; frozen from a solver run after the integrator itself was
@@ -128,6 +134,51 @@ class TestGaitLoss:
         first = evaluate_gait(REFERENCE_GAIT, cfg)
         second = evaluate_gait(REFERENCE_GAIT, cfg)
         assert first == second
+
+
+class TestLockstepObjective:
+    """`evaluate_gait` solves all steps of a cycle at once; `simulate_gait`, step by step, is its reference."""
+
+    @staticmethod
+    def reference(gait, cfg):
+        traj = simulate_gait(gait if cfg.fixed_xi is None else gait.with_xi(cfg.fixed_xi), cfg.sim, cfg.params)
+        displacement, energy = traj.net_displacement, float(np.sum(traj.step_energies))
+        return -displacement + cfg.dissipation_coefficient * energy, displacement, energy
+
+    @staticmethod
+    def assert_agrees(found, expected):
+        # at epsilon = 1 the displacement is round-off, a few 1e-15 m on both paths, hence the floor
+        for ours, ref in zip(found, expected):
+            assert abs(ours - ref) <= max(1e-12 * abs(ref), 1e-14), (found, expected)
+
+    def test_agrees_with_simulate_gait(self):
+        for cycles in (1, 3):
+            sim = SimConfig(cycles=cycles)
+            for seed in range(40):
+                for epsilon in (0.05, 0.1865, 0.5, 1.0):
+                    params = DissipationParams.uniform(1.38, sim.num_vertices, epsilon)
+                    cfg = ObjectiveConfig(params, sim, dissipation_coefficient=2.5)
+                    self.assert_agrees(evaluate_gait(random_gait(seed), cfg), self.reference(random_gait(seed), cfg))
+        cfg = small_cfg(c=1.7, fixed_xi=1.3)
+        self.assert_agrees(evaluate_gait(REFERENCE_GAIT, cfg), self.reference(REFERENCE_GAIT, cfg))
+
+    def test_coarse_gait_takes_the_same_roots(self, monkeypatch):
+        import snakesim.dynamics as dyn
+
+        handed_over = []
+        original = dyn.position_step
+
+        def counted(*args, **kwargs):
+            handed_over.append(args)
+            return original(*args, **kwargs)
+
+        sim = SimConfig(timesteps=4)
+        cfg = ObjectiveConfig(DissipationParams.uniform(1.38, sim.num_vertices, 0.1865), sim, 2.5)
+        expected = self.reference(COARSE_GAIT, cfg)
+        monkeypatch.setattr(dyn, "position_step", counted)
+        found = evaluate_gait(COARSE_GAIT, cfg)
+        assert 0 < len(handed_over) < sim.timesteps  # both the lockstep solve and its fallback ran
+        self.assert_agrees(found, expected)
 
 
 class TestObjectiveConfigValidation:

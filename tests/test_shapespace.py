@@ -72,7 +72,9 @@ class TestGaitToShapeSequence:
 
     def test_bad_discretization_rejected(self):
         e = GaitEllipse(sigma=0.8, xc=0.0, yc=0.0, theta=0.0, a=3.0, xi=1.0)
-        for timesteps, edges, length in ((1, 11, 0.92), (50, 1, 0.92), (50, 11, 0.0), (50, 11, np.nan)):
+        for timesteps, edges, length in (
+            (1, 11, 0.92), (50, 1, 0.92), (50.5, 11, 0.92), (50, 11.5, 0.92), (50, 11, 0.0), (50, 11, np.nan), (50, 11, np.inf),
+        ):
             with pytest.raises(InvalidParameter):
                 gait_to_shape_sequence(e, timesteps, edges, length)
 
@@ -100,6 +102,17 @@ class TestGaitToShapeSequence:
                 expected = curve_from_curvature(kappa, length)
                 assert np.array_equal(shape.vertices, expected.vertices)
                 assert np.array_equal(shape.tangents, expected.tangents)
+
+    def test_cycle_stacks_are_the_closed_sequence_stacked(self):
+        from snakesim.optimize import random_gait
+        from snakesim.shapespace import _cycle_stacks
+
+        for seed, (timesteps, edges, length) in enumerate([(50, 11, 0.92), (7, 3, 1.3), (4, 11, 0.92)] * 4):
+            e = random_gait(seed)
+            cycle = gait_to_shape_sequence(e, timesteps, edges, length)
+            vertices, tangents = _cycle_stacks(e, timesteps, edges, length)
+            assert np.array_equal(vertices, np.array([shape.vertices for shape in cycle + [cycle[0]]]))
+            assert np.array_equal(tangents, np.array([shape.tangents for shape in cycle + [cycle[0]]]))
 
     def test_zero_coefficients_all_timesteps_identical(self):
         e = GaitEllipse(sigma=1.0, xc=0.0, yc=0.0, theta=0.0, a=1e-14, xi=1.0)
@@ -133,6 +146,15 @@ class TestFiles:
         back, meta = read_gait_file(path)
         assert back.a == 1.0
         assert meta["timesteps"] is None
+
+    def test_gait_file_writer_rejects_metadata_that_cannot_be_simulated(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        e = GaitEllipse(0.5, 0, 0, 0, 1, 1)
+        for meta in ((50.5, 11, -2.0), (50.5, None, None), (None, 1, None), (None, 11.5, None),
+                     (None, None, -2.0), (None, None, np.inf), (None, None, np.nan)):
+            with pytest.raises(InvalidParameter):
+                write_gait_file(path, e, *meta)
+            assert not path.exists()
 
     def test_gait_file_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
