@@ -9,9 +9,11 @@ One binary, six subcommands:
   analyze      cross-class ratio matrices, statistics, transport cost
   gait-sample  draw a random gait within the default bounds
 
-Configuration comes from built-in defaults, overridden by an optional flat
-key=value config file (--config), overridden by explicit flags.  Exit codes:
-0 all requested outputs written, 2 bad input or arguments, 3 solver failure.
+Each setting (`_SETTINGS`) comes from its built-in default, overridden by a
+gait file's discretization (simulate), by an optional flat key=value config
+file (--config, which may give any setting), and by an explicit flag; a
+subcommand offers the flags of the settings it reads.  Exit codes: 0 all
+requested outputs written, 2 bad input or arguments, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,55 +45,29 @@ from .optimize import (
 from .shapespace import read_gait_file, write_gait_file
 from .tables import read_csv, read_key_values, write_csv
 
-_DEFAULTS = {
-    "body_length": 0.92,
-    "mass": 1.38,
-    "edges": 11,
-    "timesteps": 50,
-    "cycles": 1,
-    "epsilon": 0.1865,
-    "seed": 0,
-    "c": 0.0,
-    "fixed_xi": None,
-    "weights": None,
-    "jobs": 1,
-    "out": ".",
-}
-
-_CONFIG_TYPES = {
-    "body_length": float,
-    "mass": float,
-    "edges": int,
-    "timesteps": int,
-    "cycles": int,
-    "epsilon": float,
-    "seed": int,
-    "c": float,
-    "fixed_xi": float,
-    "weights": str,
-    "jobs": int,
-    "out": str,
+# every setting: its type, its default and its flag's help.  A subcommand offers the flags of the
+# settings it reads; a --config file may give any of them, so one file can serve several subcommands.
+_SETTINGS = {
+    "epsilon": (float, 0.1865, "anisotropy ratio in (0, 1]"),
+    "cycles": (int, 1, "gait cycles to integrate"),
+    "timesteps": (int, 50, "timesteps per cycle"),
+    "edges": (int, 11, "body segments (vertices - 1)"),
+    "body_length": (float, 0.92, "body length in meters"),
+    "mass": (float, 1.38, "total mass in kg"),
+    "weights": (str, None, "per-vertex weight file, one kg per line"),
+    "seed": (int, 0, "RNG seed for stochastic paths"),
+    "c": (float, 0.0, "energy penalty coefficient (>= 0)"),
+    "fixed_xi": (float, None, "pin the spatial frequency"),
+    "jobs": (int, 1, "parallel workers for sweeps"),
+    "out": (str, ".", "output directory (default: current)"),
 }
 
 
-@dataclass
-class RunConfig:
-    """Merged robot/simulation settings for one invocation."""
+class RunConfig(SimpleNamespace):
+    """Merged settings for one invocation: one attribute per `_SETTINGS` key, `weights` read into an array."""
 
-    body_length: float
-    mass: float
-    edges: int
-    timesteps: int
-    cycles: int
-    epsilon: float
-    seed: int
-    c: float
-    fixed_xi: float | None
-    weights: np.ndarray | None
-    jobs: int
-    out: str
-
-    def __post_init__(self):
+    def __init__(self, **settings):
+        super().__init__(**settings)
         if self.jobs < 1:
             raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
         # the objects handed out check the rest; mass is checked even where weights replace it
@@ -102,33 +78,33 @@ class RunConfig:
     def num_vertices(self) -> int:
         return self.edges + 1
 
-    def dissipation_params(self) -> DissipationParams:
-        if self.weights is not None:
-            return DissipationParams(self.weights, self.epsilon)
-        return DissipationParams.uniform(self.mass, self.num_vertices, self.epsilon)
+    def point_weights(self, count: int) -> np.ndarray:
+        """The weights file's, else `count` equal shares of the mass."""
+        return np.full(count, self.mass / count) if self.weights is None else self.weights
 
-    def sim_config(self, cycles=None) -> SimConfig:
-        return SimConfig(self.timesteps, self.edges, self.body_length,
-                         self.cycles if cycles is None else cycles)
+    def dissipation_params(self) -> DissipationParams:
+        return DissipationParams(self.point_weights(self.num_vertices), self.epsilon)
+
+    def sim_config(self) -> SimConfig:
+        return SimConfig(self.timesteps, self.edges, self.body_length, self.cycles)
 
 
 def build_config(args, gait_meta: dict | None = None) -> RunConfig:
     """defaults < gait-file metadata < config file < explicit flags."""
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (_, default, _) in _SETTINGS.items()}
     if gait_meta:
         for key in ("timesteps", "edges", "body_length"):
             if gait_meta.get(key) is not None:
                 merged[key] = gait_meta[key]
-    if getattr(args, "config", None):
-        merged.update(read_key_values(args.config, _CONFIG_TYPES))
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
+    if args.config:
+        merged.update(read_key_values(args.config, {key: kind for key, (kind, _, _) in _SETTINGS.items()}))
+    for key in _SETTINGS:
+        flag = getattr(args, key, None)  # None where the subcommand has no such flag or it was not given
         if flag is not None:
             merged[key] = flag
-    weights = merged.pop("weights")
-    if isinstance(weights, str):
-        weights = calibration.read_weights_file(weights)
-    return RunConfig(weights=weights, **merged)
+    if merged["weights"] is not None:
+        merged["weights"] = calibration.read_weights_file(merged["weights"])
+    return RunConfig(**merged)
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -164,23 +140,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _objective_config(cfg: RunConfig, c=None, cycles=1) -> ObjectiveConfig:
-    return ObjectiveConfig(
-        params=cfg.dissipation_params(),
-        sim=cfg.sim_config(cycles=cycles),
-        dissipation_coefficient=cfg.c if c is None else c,
-        fixed_xi=cfg.fixed_xi,
-    )
+def _objective_config(cfg: RunConfig, c: float) -> ObjectiveConfig:
+    return ObjectiveConfig(cfg.dissipation_params(), cfg.sim_config(), c, cfg.fixed_xi)
 
 
 def _sweep_worker(task):
-    c, gait, cfg_fields, max_evals = task
-    cfg = RunConfig(**cfg_fields)
-    best, history = optimize_gait(gait, DEFAULT_BOUNDS, _objective_config(cfg, c=c),
-                                  max_evaluations=max_evals)
+    gait, obj, max_evals = task
+    best, history = optimize_gait(gait, DEFAULT_BOUNDS, obj, max_evaluations=max_evals)
     # the record optimize_gait picked `best` from already holds its scores
     record = min(history, key=lambda r: r.loss)
-    return c, best, record.displacement, record.energy
+    return obj.dissipation_coefficient, best, record.displacement, record.energy
 
 
 def cmd_optimize(args) -> int:
@@ -191,7 +160,7 @@ def cmd_optimize(args) -> int:
         seed_gait = random_gait(cfg.seed, DEFAULT_BOUNDS)
 
     if args.c_sweep:
-        tasks = [(c, seed_gait, vars(cfg), args.max_evals) for c in DISSIPATION_COEFFICIENT_GRID]
+        tasks = [(seed_gait, _objective_config(cfg, c), args.max_evals) for c in DISSIPATION_COEFFICIENT_GRID]
         if cfg.jobs > 1:
             # imported here: the pool brings in multiprocessing, which only this branch uses
             from concurrent.futures import ProcessPoolExecutor
@@ -208,7 +177,7 @@ def cmd_optimize(args) -> int:
         _emit(_out_path(cfg, "c_sweep.csv"), write_csv, _SWEEP_HEADER, rows, "\n")
         return 0
 
-    obj = _objective_config(cfg)
+    obj = _objective_config(cfg, cfg.c)
     try:
         best, history = optimize_gait(seed_gait, DEFAULT_BOUNDS, obj, max_evaluations=args.max_evals)
     except NoConvergence as exc:
@@ -231,9 +200,7 @@ def cmd_optimize(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = build_config(args)
     mocap = calibration.read_mocap_csv(args.mocap_file)
-    weights = cfg.weights
-    if weights is None:
-        weights = np.full(mocap.num_markers, cfg.mass / mocap.num_markers)
+    weights = cfg.point_weights(mocap.num_markers)
     fit = calibration.fit_anisotropy(mocap, weights)
     print(f"fitted epsilon = {fit.epsilon:.6f} (rms = {fit.rms:.6g} m)")
 
@@ -279,9 +246,7 @@ def cmd_calibrate(args) -> int:
 def cmd_resim(args) -> int:
     cfg = build_config(args)
     mocap = calibration.read_mocap_csv(args.mocap_file)
-    weights = cfg.weights
-    if weights is None:
-        weights = np.full(mocap.num_markers, cfg.mass / mocap.num_markers)
+    weights = cfg.point_weights(mocap.num_markers)
     traj = calibration.resimulate(mocap, DissipationParams(weights, cfg.epsilon))
     measured = calibration.com_curve(mocap, weights)
     resimmed = calibration.com_curve(traj, weights, times=mocap.times)
@@ -308,11 +273,11 @@ def cmd_analyze(args) -> int:
     cfg = build_config(args)
     # flag consistency first, so nothing is written and then abandoned
     if args.power and (args.duration is None or not args.duration > 0):
-        raise SnakesimError("--power requires a positive --duration (active gait seconds)")
+        raise InvalidParameter("--power requires a positive --duration (active gait seconds)")
     classes = []
     for spec_arg in args.classes:
         if "=" not in spec_arg:
-            raise SnakesimError(f"expected LABEL=PATH, got {spec_arg!r}")
+            raise InvalidParameter(f"expected LABEL=PATH, got {spec_arg!r}")
         label, _, path = spec_arg.partition("=")
         values = analysis.read_displacements_file(path)
         classes.append(analysis.ClassDisplacements(label, values))
@@ -393,20 +358,12 @@ def read_cot_csv(path):
 # -- argument plumbing ----------------------------------------------------------
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--epsilon", type=float, help="anisotropy ratio in (0, 1]")
-    parser.add_argument("--cycles", type=int, help="gait cycles to integrate")
-    parser.add_argument("--timesteps", type=int, help="timesteps per cycle")
-    parser.add_argument("--edges", type=int, help="body segments (vertices - 1)")
-    parser.add_argument("--body-length", dest="body_length", type=float, help="body length in meters")
-    parser.add_argument("--mass", type=float, help="total mass in kg")
-    parser.add_argument("--weights", help="per-vertex weight file, one kg per line")
-    parser.add_argument("--seed", type=int, help="RNG seed for stochastic paths")
-    parser.add_argument("--c", type=float, help="energy penalty coefficient (>= 0)")
-    parser.add_argument("--fixed-xi", dest="fixed_xi", type=float, help="pin the spatial frequency")
-    parser.add_argument("--jobs", type=int, help="parallel workers for sweeps")
-    parser.add_argument("--out", help="output directory (default: current)")
+def _add_settings(parser, *names):
+    """--config, and a flag for each named `_SETTINGS` key."""
+    parser.add_argument("--config", help="flat key=value config file; it may give any setting")
+    for name in names:
+        kind, _, text = _SETTINGS[name]
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,43 +372,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulate, calibrate and optimize undulating locomotion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    simulation = ("epsilon", "cycles", "timesteps", "edges", "body_length", "mass", "weights", "out")
 
-    p = sub.add_parser("simulate", help="integrate a gait file into a trajectory")
+    def subcommand(name, func, text, *settings):
+        # an abbreviation could name another flag (calibrate --c would be --config), so none is accepted
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.set_defaults(func=func)
+        _add_settings(p, *settings)
+        return p
+
+    p = subcommand("simulate", cmd_simulate, "integrate a gait file into a trajectory", *simulation)
     p.add_argument("gait_file")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("optimize", help="optimize a gait (random seed or gait file)")
+    p = subcommand("optimize", cmd_optimize, "optimize a gait (random seed or gait file)",
+                   *simulation, "seed", "c", "fixed_xi", "jobs")
     p.add_argument("gait_file", nargs="?", help="seed gait file; omitted = random from --seed")
     p.add_argument("--max-evals", type=int, default=500, help="objective evaluation budget")
     p.add_argument("--c-sweep", action="store_true",
                    help="optimize once per c in DISSIPATION_COEFFICIENT_GRID; writes c_sweep.csv")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("calibrate", help="fit the anisotropy ratio to a marker recording")
+    p = subcommand("calibrate", cmd_calibrate, "fit the anisotropy ratio to a marker recording",
+                   "body_length", "mass", "weights", "out")
     p.add_argument("mocap_file")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("resim", help="re-integrate the shapes from a marker recording")
+    p = subcommand("resim", cmd_resim, "re-integrate the shapes from a marker recording",
+                   "epsilon", "mass", "weights", "out")
     p.add_argument("mocap_file")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_resim)
 
-    p = sub.add_parser("analyze", help="cross-class ratios, stats, transport cost")
+    p = subcommand("analyze", cmd_analyze, "cross-class ratios, stats, transport cost", "mass", "out")
     p.add_argument("classes", nargs="+", metavar="LABEL=PATH",
                    help="displacement file per class (labels: Exp, Sim, Resim)")
     p.add_argument("--power", help="power log CSV (time_s, power_w)")
     p.add_argument("--duration", type=float, help="active gait seconds, for velocity")
     p.add_argument("--gravity", type=float, default=9.81)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("gait-sample", help="draw a random gait within default bounds")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_gait_sample)
-
+    subcommand("gait-sample", cmd_gait_sample, "draw a random gait within default bounds",
+               "seed", "timesteps", "edges", "body_length", "out")
     return parser
 
 

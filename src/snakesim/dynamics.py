@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import FileFormatError, InvalidAnisotropy, InvalidParameter, NoConvergence, NonPositiveWeight, ShapeMismatch
 from .geometry import PositionedShape, RigidMotion, _check_frames, _shape_views, _turn, _weights
-from .geometry import center_of_mass, complex_view, rigid_registration, shapes_from_vertices
+from .geometry import center_of_mass, complex_view, shapes_from_vertices
 from .tables import read_csv, write_csv
 
 __all__ = [
@@ -211,6 +211,8 @@ class _AngleEquation:
         (self.s2, self.s2v, self.s2p), (_, self.s2vv, self.s2vp), _ = sums[0]
         (self.u2, self.u2v, self.u2p), _, (_, self.u2pv, self.u2pp) = sums[1]
         self.two_b = total * (1.0 + eps)
+        # the first step's columns, for `registration_angle`; a stack's are copied, as keeping them all raised peak memory
+        self._first, self._w = (cols if p.ndim == 1 else cols[0].copy()), w
 
     def __call__(self, theta):
         """g(theta), g'(theta) taken along b(theta), and the world translation, for a float or a (T,) array."""
@@ -238,6 +240,18 @@ class _AngleEquation:
         )
         rp1 = rc * self.p1
         return rp1.imag - 0.5 * x.imag, -rp1.real - 0.5 * dx.imag, bc.conjugate() + self.p_bar - r * self.v_bar
+
+    def registration_angle(self) -> float:
+        """The angle of the weighted rigid registration of the (first) arriving shape onto `prev`; 0 where its sums vanish.
+
+        That angle (`geometry.rigid_registration`) is arg sum(w conj(V) P), so the phase of P1.  It is summed
+        here from real products, as the registration sums it: a complex product may be fused, and P1 of two
+        equal shapes then has a round-off imaginary part, which would turn a motionless step.
+        """
+        v, p = self._first[:, 1], self._first[:, 2]  # conj(V) and conj(P)
+        cross = float(self._w @ (v.imag * p.real - v.real * p.imag))
+        dot = float(self._w @ (v.real * p.real + v.imag * p.imag))
+        return math.atan2(cross, dot) if cross or dot else 0.0
 
 
 # Newton is trusted for steps up to an eighth of a turn; the scan takes over beyond
@@ -312,10 +326,10 @@ def _solve_angle(equation: _AngleEquation, seed: float, accept_tol, polish_tol, 
     return theta, iterations, equation(theta)[2] if b is None else b
 
 
-def _acceptance_bound(vertices, total: float, tol: float):
-    """tol * (sum of weights) * polyline length of the arriving (..., N, 2) vertices: a step's largest accepted |momentum|."""
+def _acceptance_bound(vertices, total: float):
+    """RESIDUAL_RTOL * (sum of weights) * polyline length of the arriving (..., N, 2) vertices: a step's largest accepted |momentum|."""
     z = complex_view(vertices)
-    return tol * total * np.maximum(np.abs(z[..., 1:] - z[..., :-1]).sum(axis=-1), 1e-300)
+    return RESIDUAL_RTOL * total * np.maximum(np.abs(z[..., 1:] - z[..., :-1]).sum(axis=-1), 1e-300)
 
 
 def position_step(
@@ -323,7 +337,6 @@ def position_step(
     next_shape: PositionedShape,
     params: DissipationParams,
     guess: RigidMotion | None = None,
-    tol: float = RESIDUAL_RTOL,
     max_iterations: int = _MAX_ITERATIONS,
 ) -> StepSolution:
     """Rigidly place `next_shape` so the step momentum from `prev` vanishes.
@@ -337,13 +350,13 @@ def position_step(
     the one Newton reaches from that angle, or else the one in the
     sign-change interval of g nearest it (`_solve_angle`).  The placed shape
     is accepted when its full momentum 3-vector is at most
-    tol * (sum of weights) * body length.
+    `RESIDUAL_RTOL` * (sum of weights) * body length.
     """
     _check_pair(prev, next_shape, params)
     equation = _AngleEquation(prev, next_shape, params)
-    accept_tol = float(_acceptance_bound(next_shape.vertices, equation.total, tol))
+    accept_tol = float(_acceptance_bound(next_shape.vertices, equation.total))
     if guess is None:
-        seed = rigid_registration(next_shape.vertices, prev.vertices, params.weights).angle
+        seed = equation.registration_angle()
     else:
         seed = float(guess.angle)
     if not math.isfinite(seed):
@@ -412,9 +425,9 @@ def _integrate_stacks(verts: np.ndarray, tangs: np.ndarray, params: DissipationP
     prev = SimpleNamespace(vertices=verts[:-1], tangents=tangs[:-1])
     nxt = SimpleNamespace(vertices=verts[1:], tangents=tangs[1:])
     equation = _AngleEquation(prev, nxt, params)
-    accept_tol = _acceptance_bound(nxt.vertices, equation.total, RESIDUAL_RTOL)
+    accept_tol = _acceptance_bound(nxt.vertices, equation.total)
     theta = np.zeros(len(verts) - 1)
-    theta[0] = rigid_registration(verts[1], verts[0], params.weights).angle
+    theta[0] = equation.registration_angle()
     g, dg, b = equation(theta)
     active = np.ones(len(theta), dtype=bool)
     # per step, the Newton rules of `_solve_angle`, which this loop must match

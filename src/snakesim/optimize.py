@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import DissipationParams, Trajectory, _integrate_stacks, integrate_motion_trajectory, total_energy
 from .errors import FileFormatError, InvalidParameter, NoConvergence, NonFiniteLoss, ShapeMismatch
 from .geometry import rigid_registration
-from .shapespace import GaitEllipse, _check_discretization, _cycle_stacks, gait_to_shape_sequence
+from .shapespace import GAIT_KEYS, GaitEllipse, _check_discretization, _cycle_stacks, gait_to_shape_sequence
 from .tables import read_csv, write_csv
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
     "write_report_csv",
     "read_report_csv",
 ]
-
-_PARAM_NAMES = ("sigma", "xc", "yc", "theta", "a", "xi")
 
 # study grid for the energy-penalty coefficient
 DISSIPATION_COEFFICIENT_GRID = (0.0, 0.5, 1.0, 1.5, 1.7, 2.0, 2.5)
@@ -60,7 +58,7 @@ class GaitBounds:
     xi: tuple[float, float] = (0.5, 2.0)
 
     def __post_init__(self):
-        for name in _PARAM_NAMES:
+        for name in GAIT_KEYS:
             lo, hi = getattr(self, name)
             if not -np.inf < lo <= hi < np.inf:
                 raise InvalidParameter(f"{name}: bounds must be finite, lower <= upper, got ({lo}, {hi})")
@@ -70,8 +68,8 @@ class GaitBounds:
             raise InvalidParameter("a and xi lower bounds must be positive")
 
     def as_arrays(self):
-        lo = np.array([getattr(self, n)[0] for n in _PARAM_NAMES])
-        hi = np.array([getattr(self, n)[1] for n in _PARAM_NAMES])
+        lo = np.array([getattr(self, n)[0] for n in GAIT_KEYS])
+        hi = np.array([getattr(self, n)[1] for n in GAIT_KEYS])
         return lo, hi
 
     def contains(self, gait: GaitEllipse) -> bool:
@@ -132,7 +130,7 @@ class EvaluationRecord:
 
 
 def _gait_vector(gait: GaitEllipse) -> np.ndarray:
-    return np.array([getattr(gait, n) for n in _PARAM_NAMES])
+    return np.array([getattr(gait, n) for n in GAIT_KEYS])
 
 
 def _gait_from_vector(v) -> GaitEllipse:
@@ -232,11 +230,11 @@ def optimize_gait(
         xi_lo, xi_hi = bounds.xi
         if not xi_lo <= cfg.fixed_xi <= xi_hi:
             raise InvalidParameter(f"fixed xi {cfg.fixed_xi} outside bounds [{xi_lo}, {xi_hi}]")
-        x_seed[_PARAM_NAMES.index("xi")] = cfg.fixed_xi
+        x_seed[GAIT_KEYS.index("xi")] = cfg.fixed_xi
     width = hi - lo
     free = width > 0
     if cfg.fixed_xi is not None:
-        free[_PARAM_NAMES.index("xi")] = False
+        free[GAIT_KEYS.index("xi")] = False
 
     history: list[EvaluationRecord] = []
 
@@ -288,14 +286,14 @@ def optimize_gait(
 
 # -- report file ---------------------------------------------------------------
 
-_REPORT_HEADER = ["iteration", "loss", "delta_com", "energy", "sigma", "xc", "yc", "theta", "a", "xi"]
+_REPORT_HEADER = ("iteration", "loss", "delta_com", "energy", *GAIT_KEYS)
 
 
 def write_report_csv(path, history: list[EvaluationRecord]):
     """One row per objective evaluation, in evaluation order."""
     rows = (
         [rec.iteration, float(rec.loss), float(rec.displacement), float(rec.energy)]
-        + [float(getattr(rec.gait, n)) for n in _PARAM_NAMES]
+        + [float(getattr(rec.gait, n)) for n in GAIT_KEYS]
         for rec in history
     )
     write_csv(path, _REPORT_HEADER, rows, "\r\n")

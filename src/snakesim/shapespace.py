@@ -37,6 +37,10 @@ class SerpenoidPoint:
     w2: float
 
 
+# the six gait parameters, in the order of `GaitEllipse`'s fields, gait files and report rows
+GAIT_KEYS = ("sigma", "xc", "yc", "theta", "a", "xi")
+
+
 @dataclass(frozen=True)
 class GaitEllipse:
     """Closed elliptical loop in the serpenoid plane plus a spatial frequency.
@@ -54,7 +58,7 @@ class GaitEllipse:
     xi: float
 
     def __post_init__(self):
-        for name in ("sigma", "xc", "yc", "theta", "a", "xi"):
+        for name in GAIT_KEYS:
             value = float(getattr(self, name))
             if not np.isfinite(value):
                 raise InvalidParameter(f"{name} must be finite, got {value}")
@@ -130,7 +134,6 @@ def _cycle_stacks(ellipse: GaitEllipse, timesteps: int, edges: int, body_length:
 
 # -- file formats -------------------------------------------------------------
 
-GAIT_KEYS = ("sigma", "xc", "yc", "theta", "a", "xi")
 _META_KEYS = {"timesteps": int, "edges": int, "body_length": float}
 
 

@@ -5,8 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from snakesim.calibration import MocapTrajectory, write_mocap_csv
-from snakesim.cli import main, read_calibration_csv, read_cot_csv, read_sweep_csv
+from snakesim.calibration import MocapTrajectory, write_mocap_csv, write_weights_file
+from snakesim.cli import build_parser, main, read_calibration_csv, read_cot_csv, read_sweep_csv
 from snakesim.dynamics import (
     DissipationParams,
     integrate_motion_trajectory,
@@ -21,7 +21,14 @@ from snakesim.analysis import (
     write_power_csv,
 )
 from snakesim.errors import NoConvergence
-from snakesim.optimize import DISSIPATION_COEFFICIENT_GRID, read_report_csv
+from snakesim.optimize import (
+    DISSIPATION_COEFFICIENT_GRID,
+    ObjectiveConfig,
+    SimConfig,
+    evaluate_gait,
+    random_gait,
+    read_report_csv,
+)
 from snakesim.shapespace import GaitEllipse, gait_to_shape_sequence, read_gait_file, write_gait_file
 
 
@@ -46,6 +53,70 @@ def mocap_file(tmp_path):
     path = tmp_path / "mocap.csv"
     write_mocap_csv(path, MocapTrajectory(np.linspace(0.0, 1.0, len(traj.vertices)), traj.vertices))
     return str(path)
+
+
+# a value for each of the twelve settings, and the settings each subcommand reads and so offers as flags
+SETTING_VALUES = {
+    "epsilon": 0.3, "cycles": 2, "timesteps": 8, "edges": 6, "body_length": 0.8, "mass": 2.0,
+    "weights": "w.txt", "seed": 3, "c": 1.5, "fixed_xi": 1.25, "jobs": 2, "out": "dir",
+}
+SIMULATION = {"epsilon", "cycles", "timesteps", "edges", "body_length", "mass", "weights", "out"}
+READS = {
+    "simulate": SIMULATION,
+    "optimize": SIMULATION | {"seed", "c", "fixed_xi", "jobs"},
+    "calibrate": {"body_length", "mass", "weights", "out"},
+    "resim": {"epsilon", "mass", "weights", "out"},
+    "analyze": {"mass", "out"},
+    "gait-sample": {"seed", "timesteps", "edges", "body_length", "out"},
+}
+POSITIONALS = {"simulate": ["gait.txt"], "optimize": [], "calibrate": ["mocap.csv"], "resim": ["mocap.csv"],
+               "analyze": ["Exp=delta.txt"], "gait-sample": []}
+
+
+@pytest.mark.parametrize("command, setting", [(c, s) for c in READS for s in SETTING_VALUES])
+def test_each_subcommand_offers_only_the_settings_it_reads(capsys, command, setting):
+    flag, value = "--" + setting.replace("_", "-"), SETTING_VALUES[setting]
+    argv = [command, *POSITIONALS[command], flag, str(value)]
+    if setting in READS[command]:
+        assert getattr(build_parser().parse_args(argv), setting) == value
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["calibrate", "mocap.csv", "--c", "2.5"], ["simulate", "gait.txt", "--epsi", "0.3"]])
+def test_abbreviated_flags_exit_2(capsys, argv):
+    # `calibrate --c` would otherwise read a config file named 2.5
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+
+
+def test_config_file_may_hold_settings_a_subcommand_ignores(tmp_path, capsys, gait_file, mocap_file):
+    weights = tmp_path / "weights.txt"
+    write_weights_file(weights, np.linspace(0.1, 0.3, 7))  # 7 vertices (6 edges) and 7 markers
+    out = tmp_path / "out"
+    config = tmp_path / "all.cfg"
+    config.write_text(
+        "epsilon = 0.3\ncycles = 2\ntimesteps = 8\nedges = 6\nbody_length = 0.8\nmass = 2.0\n"
+        f"weights = {weights}\nseed = 3\nc = 0.5\nfixed_xi = 1.25\njobs = 1\nout = {out}\n"
+    )
+    delta = tmp_path / "delta.txt"
+    write_displacements_file(delta, [0.2, 0.3])
+    for argv, written in (
+        (["simulate", gait_file], "trajectory.csv"),
+        (["optimize", "--max-evals", "2"], "report.csv"),
+        (["calibrate", mocap_file], "calibration.csv"),
+        (["resim", mocap_file], "resim_trajectory.csv"),
+        (["analyze", f"Exp={delta}"], "delta_Exp.csv"),
+        (["gait-sample"], "gait_seed3.txt"),
+    ):
+        code, _, err = run(capsys, *argv, "--config", str(config))
+        assert code == 0, (argv, err)
+        assert (out / written).exists()
+    assert len(read_trajectory_csv(out / "trajectory.csv")) == 17  # 2 cycles of 8 steps, as configured
 
 
 class TestSimulate:
@@ -235,6 +306,18 @@ class TestOptimize:
         history = read_report_csv(out / "report.csv")
         assert len(calls) == len(history)
         assert f"seed loss {history[0].loss:.6g} (displacement {history[0].displacement:.6f} m)" in stdout
+
+    def test_reads_cycles(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, _, _ = run(
+            capsys, "optimize", "--seed", "3", "--timesteps", "10", "--edges", "5",
+            "--cycles", "2", "--max-evals", "2", "--out", str(out),
+        )
+        assert code == 0
+        first = read_report_csv(out / "report.csv")[0]
+        cfg = ObjectiveConfig(DissipationParams.uniform(1.38, 6, 0.1865), SimConfig(10, 5, 0.92, cycles=2))
+        assert first.gait == random_gait(3)
+        assert (first.loss, first.displacement, first.energy) == evaluate_gait(random_gait(3), cfg)
 
     def test_c_sweep_emits_grid_table(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,5 +1,7 @@
 import csv
 import io
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from snakesim.geometry import (
     apply_rigid_motion,
     center_of_mass,
     curve_from_curvature,
+    rigid_registration,
     tangents_from_vertices,
 )
 from snakesim.shapespace import GaitEllipse, gait_to_shape_sequence
@@ -480,6 +483,52 @@ class TestPositionStep:
                 continue  # about equally far from both roots
             sol = position_step(prev, nxt, params, guess=RigidMotion(seed, np.array([9.0, -9.0])))
             assert distance(sol.motion.angle, roots[np.argmin(to_roots)]) < 1e-3
+
+
+class TestSeedAngle:
+    """Without a guess, a step starts from the angle of the weighted rigid registration of the arriving
+    shape onto the previous one, which the angle equation sums from its own centred points."""
+
+    def test_equation_gives_the_registration_angle_the_phase_of_p1(self):
+        from snakesim.dynamics import _AngleEquation
+        from snakesim.optimize import random_gait
+
+        def gap(a, b):
+            return abs(math.remainder(a - b, 2 * math.pi))
+
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for seed in range(12):
+            shapes = gait_to_shape_sequence(random_gait(seed), 16, 11, 0.92)
+            # the previous shapes moved anywhere, so the angles cover the whole turn
+            moved = [apply_rigid_motion(RigidMotion(rng.uniform(-np.pi, np.pi), rng.normal(size=2)), s) for s in shapes]
+            for eps in (0.05, 0.1865, 0.5, 1.0):
+                params = DissipationParams(rng.uniform(0.05, 0.3, 12), eps)
+                for prev, nxt in zip(moved, shapes[1:]):
+                    expected = rigid_registration(nxt.vertices, prev.vertices, params.weights).angle
+                    equation = _AngleEquation(prev, nxt, params)
+                    found = equation.registration_angle()
+                    worst = max(worst, gap(found, expected), gap(math.atan2(equation.p1.imag, equation.p1.real), expected))
+                # a stack answers for its first step
+                stack = _AngleEquation(*(SimpleNamespace(vertices=np.array([s.vertices for s in part]),
+                                                         tangents=np.array([s.tangents for s in part]))
+                                         for part in (moved[:-1], shapes[1:])), params)
+                worst = max(worst, gap(stack.registration_angle(), _AngleEquation(moved[0], shapes[1], params).registration_angle()))
+        assert worst <= 1e-15
+
+    def test_equal_shapes_and_zero_sums_give_angle_zero(self):
+        from snakesim.dynamics import _AngleEquation
+
+        shape = reference_shapes()[3]
+        params = DissipationParams(np.linspace(0.05, 0.3, shape.num_vertices), 0.3)
+        assert _AngleEquation(shape, shape, params).registration_angle() == 0.0
+        # centred points whose weighted sum of conj(V) P vanishes: 1 - 0 - 1 = 0, and all on one line
+        line = np.array([1.0, 0.0])
+        prev = SimpleNamespace(vertices=np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), tangents=np.array([line] * 3))
+        nxt = SimpleNamespace(vertices=np.array([[-1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]]), tangents=np.array([line] * 3))
+        params = DissipationParams(np.ones(3), 0.3)
+        assert rigid_registration(nxt.vertices, prev.vertices, params.weights).angle == 0.0
+        assert _AngleEquation(prev, nxt, params).registration_angle() == 0.0
 
 
 class TestIntegrateMotionTrajectory:
