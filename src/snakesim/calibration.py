@@ -4,21 +4,23 @@ The pipeline: marker frames -> positioned shapes -> re-integrated trajectory
 under candidate dissipation parameters -> center-of-mass curve -> RMS
 distance to the measured curve.  The fitted ratio is the one whose CoM curve
 has the least RMS distance to the measurement: a log-spaced grid of ratios
-locates it, and a bounded Brent search on the squared RMS refines it.  Each
-ratio costs one `integrate_shape_sequence`, which solves all steps of the recording at once.
+locates it, and a bounded Brent search on the squared RMS refines it.  The
+recording's frame stacks and the part of its step equations that no ratio
+enters are prepared once per fit; the whole grid is then one lockstep solve
+(`dynamics._integrate_stacks` with a ratio axis), and each Brent step another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import DissipationParams, Trajectory, integrate_shape_sequence
+from .dynamics import DissipationParams, Trajectory, _integrate_stacks, _stack_pairs
 from .dynamics import integrate_motion_trajectory  # noqa: F401 -- bench/workloads.py traces the step-by-step path here
 from .errors import EmptyInput, FileFormatError, InvalidAnisotropy, InvalidParameter, ShapeMismatch
-from .geometry import PositionedShape, _as_points, center_of_mass, shapes_from_vertices
-from .geometry import tangents_from_vertices  # noqa: F401 -- bench/workloads.py traces the shape layer here
+from .geometry import PositionedShape, _as_points, _check_frames, _shape_views, center_of_mass, tangents_from_vertices
 from .tables import read_csv, read_numbers, write_csv, write_numbers
 
 __all__ = [
@@ -114,20 +116,28 @@ def extract_shapes(mocap: MocapTrajectory, target_steps: int | None = None) -> l
     With `target_steps` the frames are uniformly downsampled to that count,
     always keeping the first and last frame.
     """
-    if mocap.num_markers < 2:
-        raise ShapeMismatch("need at least 2 markers per frame")
     if target_steps is not None and not (isinstance(target_steps, (int, np.integer)) and target_steps >= 1):
         raise InvalidParameter(f"target_steps must be an integer of at least 1, got {target_steps!r}")
     frames = mocap.frames
     if target_steps is not None and target_steps < len(frames):
         idx = np.round(np.linspace(0, len(frames) - 1, target_steps)).astype(int)
         frames = frames[idx]
-    return shapes_from_vertices(frames)
+    return _shape_views(*_marker_stacks(frames))
+
+
+def _marker_stacks(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (T, N, 2) vertex and tangent stacks of marker frames; the vertices are a copy, free to overwrite."""
+    if frames.shape[1] < 2:
+        raise ShapeMismatch("need at least 2 markers per frame")
+    verts = np.array(frames)
+    return _check_frames(verts, tangents_from_vertices(verts), stacked=True)
 
 
 def resimulate(mocap: MocapTrajectory, params: DissipationParams) -> Trajectory:
     """Re-integrate the executed shape sequence from the first measured pose."""
-    return integrate_shape_sequence(extract_shapes(mocap), params)
+    if len(params.weights) != mocap.num_markers:
+        raise ShapeMismatch(f"{len(params.weights)} weights for {mocap.num_markers} markers")
+    return _integrate_stacks(*_marker_stacks(mocap.frames), [params])[0]
 
 
 def com_curve(source, weights, times=None) -> ComCurve:
@@ -161,11 +171,18 @@ def rms_error(a: ComCurve, b: ComCurve) -> float:
     return float(np.sqrt(np.mean(np.sum((a.positions - b.positions) ** 2, axis=1))))
 
 
-def _evaluate(shapes, weights, exp_curve, epsilon):
-    """((epsilon, rms, final displacement), resimulated CoM curve) for one ratio."""
-    traj = integrate_shape_sequence(shapes, DissipationParams(weights, epsilon))
-    curve = com_curve(traj, weights, times=exp_curve.times)
-    return (epsilon, rms_error(curve, exp_curve), curve.final_displacement), curve
+def _evaluate(recording, epsilons):
+    """((epsilon, rms, final displacement), resimulated CoM curve) for each ratio, all solved at once.
+
+    `recording` holds the marker stacks, the weights, their `_stack_pairs` and the measured CoM curve.
+    """
+    params = [DissipationParams(recording.weights, epsilon) for epsilon in epsilons]
+    trajectories = _integrate_stacks(recording.verts, recording.tangs, params, recording.pairs)
+    evaluations = []
+    for epsilon, traj in zip(epsilons, trajectories):
+        curve = com_curve(traj, recording.weights, times=recording.curve.times)
+        evaluations.append(((epsilon, rms_error(curve, recording.curve), curve.final_displacement), curve))
+    return evaluations
 
 
 def fit_anisotropy(
@@ -175,8 +192,10 @@ def fit_anisotropy(
 ) -> AnisotropyFit:
     """Fit the anisotropy ratio to a measured trajectory.
 
-    The marker shapes, extracted once, are resimulated at the ratios of a
-    6-point log-spaced grid over `bounds` first; bounded Brent then minimizes
+    The marker frames are stacked and checked once, and so is the part of
+    their step equations that no ratio enters.  The 6 ratios of a log-spaced
+    grid over `bounds` are resimulated first, in one lockstep solve that
+    gives each ratio bitwise its one-ratio trajectory; bounded Brent then minimizes
     the squared RMS between the best grid ratio's two neighbours, to 1e-4 in
     the ratio.  The square is minimized because on noise-free data the RMS
     itself is V-shaped at the truth (proportional to |epsilon - truth|),
@@ -188,26 +207,28 @@ def fit_anisotropy(
     if not 0.0 < lo < hi <= 1.0:
         raise InvalidAnisotropy(f"need 0 < lo < hi <= 1, got ({lo}, {hi})")
     w = np.asarray(weights, dtype=float).ravel()
-    exp_curve = com_curve(exp_mocap, w)
-    shapes = extract_shapes(exp_mocap)  # the same executed shapes for every ratio
-    if len(shapes) < 2:
-        raise EmptyInput(f"need at least 2 frames to fit the anisotropy ratio, got {len(shapes)}")
+    exp_curve = com_curve(exp_mocap, w)  # checks the weights
+    verts, tangs = _marker_stacks(exp_mocap.frames)  # the same executed shapes for every ratio
+    if len(verts) < 2:
+        raise EmptyInput(f"need at least 2 frames to fit the anisotropy ratio, got {len(verts)}")
+    recording = SimpleNamespace(verts=verts, tangs=tangs, weights=w, pairs=_stack_pairs(verts, tangs, w), curve=exp_curve)
 
     history, curves = [], []
 
-    def squared_rms(epsilon):
-        record, curve = _evaluate(shapes, w, exp_curve, float(epsilon))
-        history.append(record)
-        curves.append(curve)
-        return record[1] ** 2
+    def squared_rms(epsilons):
+        evaluations = _evaluate(recording, epsilons)
+        for record, curve in evaluations:
+            history.append(record)
+            curves.append(curve)
+        return [record[1] ** 2 for record, _ in evaluations]
 
     grid = np.geomspace(lo, hi, GRID_POINTS)
-    k = int(np.argmin([squared_rms(eps) for eps in grid]))
+    k = int(np.argmin(squared_rms(grid.tolist())))
     bracket = (grid[max(k - 1, 0)], grid[min(k + 1, GRID_POINTS - 1)])
     # imported here: scipy.optimize is most of the package's import time, which runs that never fit should not pay
     from scipy.optimize import minimize_scalar
 
-    minimize_scalar(squared_rms, bounds=bracket, method="bounded", options={"xatol": REFINE_TOL})
+    minimize_scalar(lambda eps: squared_rms([float(eps)])[0], bounds=bracket, method="bounded", options={"xatol": REFINE_TOL})
 
     best = min(history, key=lambda rec: rec[1])
     return AnisotropyFit(best[0], best[1], history, curves)

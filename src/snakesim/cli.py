@@ -19,6 +19,7 @@ requested outputs written, 2 bad input or arguments, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from types import SimpleNamespace
@@ -153,7 +154,15 @@ def _sweep_worker(task):
 
 
 def cmd_optimize(args) -> int:
+    # a flag that this run would ignore is refused; the same values in a --config file serve other runs
+    if args.c_sweep and args.c is not None:
+        raise InvalidParameter("--c has no effect with --c-sweep, which optimizes at each c of DISSIPATION_COEFFICIENT_GRID")
+    if not args.c_sweep and args.jobs is not None:
+        raise InvalidParameter("--jobs applies only to --c-sweep")
+    if args.gait_file and args.seed is not None:
+        raise InvalidParameter("--seed draws the seed gait, which the gait file already gives")
     cfg = build_config(args)
+    obj = _objective_config(cfg, cfg.c)  # checks c in every mode
     if args.gait_file:
         seed_gait, _ = read_gait_file(args.gait_file)
     else:
@@ -177,7 +186,6 @@ def cmd_optimize(args) -> int:
         _emit(_out_path(cfg, "c_sweep.csv"), write_csv, _SWEEP_HEADER, rows, "\n")
         return 0
 
-    obj = _objective_config(cfg, cfg.c)
     try:
         best, history = optimize_gait(seed_gait, DEFAULT_BOUNDS, obj, max_evaluations=args.max_evals)
     except NoConvergence as exc:
@@ -374,47 +382,54 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     simulation = ("epsilon", "cycles", "timesteps", "edges", "body_length", "mass", "weights", "out")
 
-    def subcommand(name, func, text, *settings):
+    def subcommand(name, text, *settings):
         # an abbreviation could name another flag (calibrate --c would be --config), so none is accepted
         p = sub.add_parser(name, help=text, allow_abbrev=False)
-        p.set_defaults(func=func)
         _add_settings(p, *settings)
         return p
 
-    p = subcommand("simulate", cmd_simulate, "integrate a gait file into a trajectory", *simulation)
+    p = subcommand("simulate", "integrate a gait file into a trajectory", *simulation)
     p.add_argument("gait_file")
 
-    p = subcommand("optimize", cmd_optimize, "optimize a gait (random seed or gait file)",
+    p = subcommand("optimize", "optimize a gait (random seed or gait file)",
                    *simulation, "seed", "c", "fixed_xi", "jobs")
     p.add_argument("gait_file", nargs="?", help="seed gait file; omitted = random from --seed")
     p.add_argument("--max-evals", type=int, default=500, help="objective evaluation budget")
     p.add_argument("--c-sweep", action="store_true",
                    help="optimize once per c in DISSIPATION_COEFFICIENT_GRID; writes c_sweep.csv")
 
-    p = subcommand("calibrate", cmd_calibrate, "fit the anisotropy ratio to a marker recording",
+    p = subcommand("calibrate", "fit the anisotropy ratio to a marker recording",
                    "body_length", "mass", "weights", "out")
     p.add_argument("mocap_file")
 
-    p = subcommand("resim", cmd_resim, "re-integrate the shapes from a marker recording",
+    p = subcommand("resim", "re-integrate the shapes from a marker recording",
                    "epsilon", "mass", "weights", "out")
     p.add_argument("mocap_file")
 
-    p = subcommand("analyze", cmd_analyze, "cross-class ratios, stats, transport cost", "mass", "out")
+    p = subcommand("analyze", "cross-class ratios, stats, transport cost", "mass", "out")
     p.add_argument("classes", nargs="+", metavar="LABEL=PATH",
                    help="displacement file per class (labels: Exp, Sim, Resim)")
     p.add_argument("--power", help="power log CSV (time_s, power_w)")
     p.add_argument("--duration", type=float, help="active gait seconds, for velocity")
     p.add_argument("--gravity", type=float, default=9.81)
 
-    subcommand("gait-sample", cmd_gait_sample, "draw a random gait within default bounds",
+    subcommand("gait-sample", "draw a random gait within default bounds",
                "seed", "timesteps", "edges", "body_length", "out")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first call and kept: parsers hold reference cycles, so a new one per call lingers until a collection."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a wrapper set on a cmd_* function later still runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except NoConvergence as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return 3

@@ -15,15 +15,19 @@ with e^{i theta}, and the momentum is the 3-vector (rotational, x, y).  The
 reference residual that accepts every step and the step's energy come from
 one pass, `_momentum_and_energy`.  A non-finite residual never counts as converged.
 It and `_AngleEquation` also take (T, N, 2) stacks of step pairs, whose roots are independent under
-rigid motions.  Calibration and the gait search's objective (`optimize.evaluate_gait`) solve them at once
-(`integrate_shape_sequence`, the objective on the gait's frame stacks directly), while `simulate_gait`
-still makes one `position_step` per step, because the benchmark's `sweep` check counts those calls.
+rigid motions, with one ratio or each pair at its own.  The lockstep core, `_integrate_stacks`, solves
+the T steps of a sequence at B ratios in one vector Newton over the B T pairs, the part of the equations
+that no ratio enters (`_StepPairs`) prepared once and reusable across calls.  Calibration
+(`integrate_shape_sequence`, `resimulate`, and `fit_anisotropy`'s whole ratio grid in one call) and the gait
+search's objective (`optimize.evaluate_gait`, on the gait's frame stacks directly) solve this way, while
+`simulate_gait` still makes one `position_step` per step, because the benchmark's `sweep` check counts those calls.
 A `Trajectory` holds its frames as (T+1, N, 2) vertex and tangent stacks, checked
 once, and derives `PositionedShape` objects only for callers that ask for them.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -153,7 +157,8 @@ def _momentum_and_energy(prev, nxt, params: DissipationParams):
     On the vertices p, q as x + iy, d = q - p and D d = w (d + (eps - 1) (t . d) t) for either
     shape's tangents t, unit or not: rot = -1/2 Im(vdot(q, D_prev d) + vdot(p, D_next d)),
     xy = -1/4 sum((D_prev + D_next) d) and energy = 1/4 Re vdot((D_prev + D_next) d, d).
-    Sums run over the last axis, so (T, N, 2) stacks of step pairs give (T, 3) and (T,).
+    Sums run over the last axis, so (T, N, 2) stacks of step pairs give a (3, T) momentum and (T,) energies;
+    their ratio may be one float or a (T, 1) array, one per pair.
     """
     w, eps = params.weights, params.epsilon
     p, q = complex_view(prev.vertices), complex_view(nxt.vertices)
@@ -165,13 +170,68 @@ def _momentum_and_energy(prev, nxt, params: DissipationParams):
     d_sum = d_prev + d_next
     xy = -0.25 * d_sum.sum(axis=-1)
     rot = -0.5 * (q.conjugate() * d_prev + p.conjugate() * d_next).sum(axis=-1).imag
-    return np.array([rot, xy.real, xy.imag]).T, 0.25 * (d_sum.conjugate() * d).sum(axis=-1).real
+    return np.array([rot, xy.real, xy.imag]), 0.25 * (d_sum.conjugate() * d).sum(axis=-1).real
 
 
 def geometric_momentum(prev: PositionedShape, nxt: PositionedShape, params: DissipationParams) -> np.ndarray:
     """3-vector (rotational, x, y) of the step momentum."""
     _check_pair(prev, nxt, params)
     return _momentum_and_energy(prev, nxt, params)[0]
+
+
+class _StepPairs:
+    """Step pairs under per-vertex weights, with the parts of their angle equations that no ratio enters.
+
+    `prev` and `nxt` are one pair of (N, 2) shapes, or (T, N, 2) stacks holding the T pairs (prev[t], nxt[t]).
+    Made once, they serve `_AngleEquation` at any ratio: the centroids, the centred columns, the squared
+    tangents, the sum behind P1, each step's acceptance bound and the registration angle.
+    """
+
+    def __init__(self, prev, nxt, weights: np.ndarray):
+        self.prev, self.nxt, self.weights = prev, nxt, weights
+        self.total = total = float(weights.sum())
+        p, v = complex_view(prev.vertices), complex_view(nxt.vertices)
+        self.bars = np.array([p, v]) @ weights / total
+        # the pairwise products of the columns 1, conj(V), conj(P), weighted by
+        # gamma s^2 (prev tangents) and gamma u^2 (next tangents), give every sum
+        self.cols = cols = np.empty(p.shape + (3,), dtype=complex)
+        cols[..., 0] = 1.0
+        np.conjugate(v - self.bars[1, ..., None], out=cols[..., 1])
+        np.conjugate(p - self.bars[0, ..., None], out=cols[..., 2])
+        self.squares = squares = np.array([complex_view(prev.tangents), complex_view(nxt.tangents)])
+        squares *= squares
+        self.p1_sum = (cols[..., 2].conjugate() * weights * cols[..., 1]).sum(axis=-1)  # sum(w conj(V) P)
+        self.accept_tol = _acceptance_bound(nxt.vertices, total)
+
+    @cached_property
+    def registration_angle(self) -> float:
+        """The angle of the weighted rigid registration of the (first) arriving shape onto `prev`; 0 where its sums vanish.
+
+        That angle (`geometry.rigid_registration`) is arg sum(w conj(V) P), so the phase of P1.  It is summed
+        here from real products, as the registration sums it: a complex product may be fused, and P1 of two
+        equal shapes then has a round-off imaginary part, which would turn a motionless step.
+        """
+        first = self.cols if self.cols.ndim == 2 else self.cols[0]
+        v, p = first[:, 1], first[:, 2]  # conj(V) and conj(P)
+        cross = float(self.weights @ (v.imag * p.real - v.real * p.imag))
+        dot = float(self.weights @ (v.real * p.real + v.imag * p.imag))
+        return math.atan2(cross, dot) if cross or dot else 0.0
+
+    def repeated(self, count: int) -> "_StepPairs":
+        """The T stacked pairs `count` times over, count T pairs in all: each value is copied, not recomputed."""
+        if count == 1:
+            return self
+        tiled = copy.copy(self)  # keeps the weights, the total and a registration angle already found
+
+        def tile(values, axis=0):
+            return np.concatenate([values] * count, axis=axis)
+
+        tiled.prev, tiled.nxt = (
+            SimpleNamespace(vertices=tile(half.vertices), tangents=tile(half.tangents)) for half in (self.prev, self.nxt)
+        )
+        tiled.bars, tiled.squares = tile(self.bars, 1), tile(self.squares, 1)
+        tiled.cols, tiled.p1_sum, tiled.accept_tol = tile(self.cols), tile(self.p1_sum), tile(self.accept_tol)
+        return tiled
 
 
 class _AngleEquation:
@@ -187,32 +247,26 @@ class _AngleEquation:
     |H| <= sum(w) (1 - eps) < 2 B = sum(w) (1 + eps), so b(theta) is unique.
     With b = b(theta) they vanish and the rotational row no longer depends
     on the origin: g(theta) is the momentum's rotational component.  Twelve
-    weighted sums, computed once, make each evaluation a few dozen scalar
-    operations on Python numbers; (T, N, 2) stacks of step pairs give (T,) ones.
+    weighted sums, formed once from the `_StepPairs` and the ratio, make each
+    evaluation a few dozen scalar operations, on Python numbers for one pair
+    and on (T,) arrays for T stacked pairs.  The ratio is one float, or for
+    stacked pairs a (T,) array, each pair at its own ratio: every element
+    goes through the operations a float ratio would take it through, so a
+    pair's values are bitwise the same either way.
     """
 
-    def __init__(self, prev, nxt, params: DissipationParams):
-        w, eps = params.weights, params.epsilon
-        self.total = total = float(w.sum())
-        p, v = complex_view(prev.vertices), complex_view(nxt.vertices)
-        bars = np.array([p, v]) @ w / total
-        # the pairwise products of the columns 1, conj(V), conj(P), weighted by
-        # gamma s^2 (prev tangents) and gamma u^2 (next tangents), give every sum
-        cols = np.empty(p.shape + (3,), dtype=complex)
-        cols[..., 0] = 1.0
-        np.conjugate(v - bars[1, ..., None], out=cols[..., 1])
-        np.conjugate(p - bars[0, ..., None], out=cols[..., 2])
-        t2 = np.array([complex_view(prev.tangents), complex_view(nxt.tangents)])
-        t2 *= t2
-        t2 *= 0.5 * (eps - 1.0) * w
-        sums = (t2[..., None, :] * cols.swapaxes(-1, -2)) @ cols
-        p1 = 0.5 * (1.0 + eps) * (cols[..., 2].conjugate() * w * cols[..., 1]).sum(axis=-1)
-        sums, (self.p_bar, self.v_bar), self.p1 = (sums.tolist(), bars.tolist(), complex(p1)) if p.ndim == 1 else (sums.transpose(0, 2, 3, 1), bars, p1)
+    def __init__(self, pairs: _StepPairs, epsilon):
+        gamma = 0.5 * (epsilon - 1.0)
+        t2 = pairs.squares * (gamma[:, None] * pairs.weights if isinstance(gamma, np.ndarray) else gamma * pairs.weights)
+        sums = (t2[..., None, :] * pairs.cols.swapaxes(-1, -2)) @ pairs.cols
+        p1 = 0.5 * (1.0 + epsilon) * pairs.p1_sum
+        if pairs.cols.ndim == 2:
+            sums, (self.p_bar, self.v_bar), self.p1 = sums.tolist(), pairs.bars.tolist(), complex(p1)
+        else:
+            sums, (self.p_bar, self.v_bar), self.p1 = sums.transpose(0, 2, 3, 1), pairs.bars, p1
         (self.s2, self.s2v, self.s2p), (_, self.s2vv, self.s2vp), _ = sums[0]
         (self.u2, self.u2v, self.u2p), _, (_, self.u2pv, self.u2pp) = sums[1]
-        self.two_b = total * (1.0 + eps)
-        # the first step's columns, for `registration_angle`; a stack's are copied, as keeping them all raised peak memory
-        self._first, self._w = (cols if p.ndim == 1 else cols[0].copy()), w
+        self.two_b = pairs.total * (1.0 + epsilon)
 
     def __call__(self, theta):
         """g(theta), g'(theta) taken along b(theta), and the world translation, for a float or a (T,) array."""
@@ -240,18 +294,6 @@ class _AngleEquation:
         )
         rp1 = rc * self.p1
         return rp1.imag - 0.5 * x.imag, -rp1.real - 0.5 * dx.imag, bc.conjugate() + self.p_bar - r * self.v_bar
-
-    def registration_angle(self) -> float:
-        """The angle of the weighted rigid registration of the (first) arriving shape onto `prev`; 0 where its sums vanish.
-
-        That angle (`geometry.rigid_registration`) is arg sum(w conj(V) P), so the phase of P1.  It is summed
-        here from real products, as the registration sums it: a complex product may be fused, and P1 of two
-        equal shapes then has a round-off imaginary part, which would turn a motionless step.
-        """
-        v, p = self._first[:, 1], self._first[:, 2]  # conj(V) and conj(P)
-        cross = float(self._w @ (v.imag * p.real - v.real * p.imag))
-        dot = float(self._w @ (v.real * p.real + v.imag * p.imag))
-        return math.atan2(cross, dot) if cross or dot else 0.0
 
 
 # Newton is trusted for steps up to an eighth of a turn; the scan takes over beyond
@@ -353,10 +395,10 @@ def position_step(
     `RESIDUAL_RTOL` * (sum of weights) * body length.
     """
     _check_pair(prev, next_shape, params)
-    equation = _AngleEquation(prev, next_shape, params)
-    accept_tol = float(_acceptance_bound(next_shape.vertices, equation.total))
+    pairs = _StepPairs(prev, next_shape, params.weights)
+    equation, accept_tol = _AngleEquation(pairs, params.epsilon), float(pairs.accept_tol)
     if guess is None:
-        seed = equation.registration_angle()
+        seed = pairs.registration_angle
     else:
         seed = float(guess.angle)
     if not math.isfinite(seed):
@@ -411,29 +453,44 @@ def integrate_shape_sequence(shapes: list[PositionedShape], params: DissipationP
         raise ShapeMismatch(f"need one or more shapes of {len(params.weights)} vertices, one per weight")
     verts = np.array([shape.vertices for shape in shapes])
     tangs = np.array([shape.tangents for shape in shapes])
-    return _integrate_stacks(verts, tangs, params)
+    return _integrate_stacks(verts, tangs, [params])[0]
 
 
-def _integrate_stacks(verts: np.ndarray, tangs: np.ndarray, params: DissipationParams) -> Trajectory:
-    """`integrate_shape_sequence` on (T+1, N, 2) stacks that `_check_frames` passed, N one per weight.
-
-    The stacks become the trajectory's: frames 1..T are overwritten with the placed frames.  Shapes are
-    made only for the steps handed to `position_step`.
-    """
-    if len(verts) == 1:
-        return Trajectory(verts, tangs, np.empty(0), params)
+def _stack_pairs(verts: np.ndarray, tangs: np.ndarray, weights: np.ndarray) -> _StepPairs:
+    """The T steps of (T+1, N, 2) vertex and tangent stacks, frame t to frame t + 1, as `_StepPairs`."""
     prev = SimpleNamespace(vertices=verts[:-1], tangents=tangs[:-1])
-    nxt = SimpleNamespace(vertices=verts[1:], tangents=tangs[1:])
-    equation = _AngleEquation(prev, nxt, params)
-    accept_tol = _acceptance_bound(nxt.vertices, equation.total)
-    theta = np.zeros(len(verts) - 1)
-    theta[0] = equation.registration_angle()
+    return _StepPairs(prev, SimpleNamespace(vertices=verts[1:], tangents=tangs[1:]), weights)
+
+
+def _integrate_stacks(verts: np.ndarray, tangs: np.ndarray, params: list[DissipationParams], pairs: _StepPairs | None = None) -> list[Trajectory]:
+    """`integrate_shape_sequence` at each of B `params`, on (T+1, N, 2) stacks that `_check_frames` passed.
+
+    The B parameter sets share one weights vector, N weights, and differ in their ratios.  The T steps are
+    taken once per ratio, B T pairs in all, each at its own ratio, and one vector Newton solves them: each
+    keeps its own active mask and stopping rule, and a pair that misses its bound goes to `position_step`
+    at its own ratio, so each trajectory is bitwise the one a one-ratio call gives.  `pairs`, the
+    `_stack_pairs` of these stacks and weights, may be kept from an earlier call to skip the work no ratio
+    enters.  A one-ratio call without `pairs` writes the placed frames into the stacks given (frames 1..T)
+    and copies nothing; otherwise each trajectory gets new arrays and the stacks stay as they are, to be
+    solved again.  Shapes are made only for the steps handed to `position_step`.
+    """
+    weights, count, steps = params[0].weights, len(params), len(verts) - 1
+    if not steps:
+        return [Trajectory(verts, tangs, np.empty(0), p) for p in params]
+    in_place = pairs is None and count == 1
+    pairs = (_stack_pairs(verts, tangs, weights) if pairs is None else pairs).repeated(count)
+    # one float ratio, or each pair's own: the B ratios, ratio-major
+    eps = params[0].epsilon if count == 1 else np.repeat([p.epsilon for p in params], steps)
+    equation, accept_tol = _AngleEquation(pairs, eps), pairs.accept_tol
+    polish_tol = _POLISH_FACTOR * accept_tol
+    theta = np.zeros(count * steps)
+    theta[::steps] = pairs.registration_angle
     g, dg, b = equation(theta)
     active = np.ones(len(theta), dtype=bool)
     # per step, the Newton rules of `_solve_angle`, which this loop must match
     for _ in range(_MAX_ITERATIONS):
         step = np.divide(-g, dg, out=np.full_like(g, np.inf), where=dg != 0)
-        active &= ~(np.abs(g) <= _POLISH_FACTOR * accept_tol) & (np.abs(step) <= _MAX_NEWTON_STEP)
+        active &= ~(np.abs(g) <= polish_tol) & (np.abs(step) <= _MAX_NEWTON_STEP)
         if not active.any():
             break
         trial = np.where(active, theta + step, theta)
@@ -441,22 +498,31 @@ def _integrate_stacks(verts: np.ndarray, tangs: np.ndarray, params: DissipationP
         active &= np.abs(g_new) < np.abs(g)
         theta, g, dg, b = (np.where(active, new, old) for new, old in ((trial, theta), (g_new, g), (dg_new, dg), (b_new, b)))
     r = np.exp(1j * theta)[:, None]
-    placed = SimpleNamespace(vertices=_turn(r, nxt.vertices, b[:, None]), tangents=_turn(r, nxt.tangents))
-    residual, energies = _momentum_and_energy(prev, placed, params)
-    accepted = (np.abs(g) <= accept_tol) & (np.linalg.norm(residual, axis=-1) <= accept_tol)
-    for t in (np.flatnonzero(~accepted) + 1).tolist():
-        pair = _shape_views(verts[t - 1:t + 1], tangs[t - 1:t + 1])
+    placed = SimpleNamespace(vertices=_turn(r, pairs.nxt.vertices, b[:, None]), tangents=_turn(r, pairs.nxt.tangents))
+    ratios = SimpleNamespace(weights=weights, epsilon=eps if count == 1 else eps[:, None])
+    residual, energies = _momentum_and_energy(pairs.prev, placed, ratios)
+    accepted = (np.abs(g) <= accept_tol) & (np.linalg.norm(residual, axis=0) <= accept_tol)
+    for s in np.flatnonzero(~accepted).tolist():
+        k, t = divmod(s, steps)  # ratio k, step t + 1
+        pair = _shape_views(verts[t:t + 2], tangs[t:t + 2])
         try:
-            solution = position_step(*pair, params, guess=RigidMotion() if t > 1 else None)
+            solution = position_step(*pair, params[k], guess=RigidMotion() if t else None)
         except NoConvergence as exc:
-            exc.args = (f"timestep {t}: {exc}",)  # keeps residual and iterations
+            exc.args = (f"timestep {t + 1}: {exc}",)  # keeps residual and iterations
             raise
-        theta[t - 1], b[t - 1], energies[t - 1] = solution.motion.angle, complex(*solution.motion.translation), solution.energy
-    # frame t turns by e^{i (theta_1 + ... + theta_t)} and shifts by the b_k, k <= t, each turned as frame k - 1
-    rotors = np.exp(1j * np.cumsum(theta))
-    shifts = np.cumsum(np.concatenate(([1.0], rotors[:-1])) * b)
-    verts[1:], tangs[1:] = _turn(rotors[:, None], nxt.vertices, shifts[:, None]), _turn(rotors[:, None], nxt.tangents)
-    return Trajectory(verts, tangs, energies, params)
+        theta[s], b[s], energies[s] = solution.motion.angle, complex(*solution.motion.translation), solution.energy
+    # per ratio, frame t turns by e^{i (theta_1 + ... + theta_t)} and shifts by the b_k, k <= t, each turned as frame k - 1
+    rotors = np.exp(1j * np.cumsum(theta.reshape(count, steps), axis=-1))
+    shifts = np.cumsum(np.concatenate((np.ones((count, 1)), rotors[:, :-1]), axis=-1) * b.reshape(count, steps), axis=-1)
+    rotors, shifts = rotors.reshape(-1, 1), shifts.reshape(-1, 1)
+    moved = _turn(rotors, pairs.nxt.vertices, shifts), _turn(rotors, pairs.nxt.tangents)
+    if in_place:
+        verts[1:], tangs[1:] = moved
+        return [Trajectory(verts, tangs, energies, params[0])]
+    frames = np.empty((count,) + verts.shape), np.empty((count,) + tangs.shape)
+    for out, first, rest in zip(frames, (verts[0], tangs[0]), moved):
+        out[:, 0], out[:, 1:] = first, rest.reshape(out[:, 1:].shape)
+    return [Trajectory(v, t, e, p) for v, t, e, p in zip(*frames, energies.reshape(count, steps), params)]
 
 
 # -- file formats -------------------------------------------------------------

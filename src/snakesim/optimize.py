@@ -187,7 +187,8 @@ def evaluate_gait(gait: GaitEllipse, cfg: ObjectiveConfig) -> tuple[float, float
     if cfg.fixed_xi is not None:
         gait = gait.with_xi(cfg.fixed_xi)
     sim = cfg.sim
-    first = _integrate_stacks(*_cycle_stacks(gait, sim.timesteps, sim.edges, sim.body_length), cfg.params)
+    verts, tangs = _cycle_stacks(gait, sim.timesteps, sim.edges, sim.body_length)
+    first = _integrate_stacks(verts, tangs, [cfg.params])[0]
     traj = _repeat_cycle(first, sim.cycles)
     displacement = traj.net_displacement
     energy = total_energy(traj)

@@ -267,20 +267,31 @@ class TestFitAnisotropy:
             assert rms == rms_error(curve, com_curve(mocap, params.weights))
 
     def test_extracts_the_marker_shapes_once_per_fit(self, monkeypatch):
+        # the frames are stacked, given tangents and prepared for the solve once; every solve reuses them
         import snakesim.calibration as cal
 
-        calls = []
-        original = cal.extract_shapes
+        calls = {"tangents_from_vertices": [], "_stack_pairs": [], "_integrate_stacks": []}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(name):
+            original = getattr(cal, name)
 
-        monkeypatch.setattr(cal, "extract_shapes", counted)
+            def counted(*args, **kwargs):
+                calls[name].append(args)
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(cal, name, counting(name))
         mocap, params = synthetic_mocap(0.3, timesteps=6, edges=4)
         fit = cal.fit_anisotropy(mocap, params.weights)
         assert len(fit.evaluations) > cal.GRID_POINTS
-        assert len(calls) == 1
+        assert len(calls["tangents_from_vertices"]) == len(calls["_stack_pairs"]) == 1
+        pairs = calls["_stack_pairs"][0]
+        solves = calls["_integrate_stacks"]
+        # the grid in one solve, then one solve per Brent step, all on the same stacks and prepared pairs
+        assert [len(args[2]) for args in solves] == [cal.GRID_POINTS] + [1] * (len(fit.evaluations) - cal.GRID_POINTS)
+        assert all(args[0] is pairs[0] and args[1] is pairs[1] and args[3] is not None for args in solves)
 
     def test_fewer_than_two_frames_rejected_before_any_evaluation(self, monkeypatch):
         import snakesim.calibration as cal
@@ -288,10 +299,65 @@ class TestFitAnisotropy:
         def never(*args, **kwargs):
             raise AssertionError("a ratio was evaluated")
 
-        monkeypatch.setattr(cal, "integrate_shape_sequence", never)
+        monkeypatch.setattr(cal, "_integrate_stacks", never)
         mocap, params = synthetic_mocap(0.3, timesteps=6, edges=4)
         with pytest.raises(EmptyInput, match="at least 2 frames"):
             cal.fit_anisotropy(MocapTrajectory(mocap.times[:1], mocap.frames[:1]), params.weights)
+
+    @staticmethod
+    def one_at_a_time_fit(mocap, weights, bounds=(0.01, 1.0)):
+        """The fit as a reference loop: one `resimulate` per ratio, the grid first, then bounded Brent."""
+        import snakesim.calibration as cal
+        from scipy.optimize import minimize_scalar
+
+        measured = com_curve(mocap, weights)
+        history, curves = [], []
+
+        def squared_rms(epsilon):
+            curve = com_curve(resimulate(mocap, DissipationParams(weights, float(epsilon))), weights, times=mocap.times)
+            history.append((float(epsilon), rms_error(curve, measured), curve.final_displacement))
+            curves.append(curve)
+            return history[-1][1] ** 2
+
+        grid = np.geomspace(bounds[0], bounds[1], cal.GRID_POINTS)
+        k = int(np.argmin([squared_rms(eps) for eps in grid]))
+        bracket = (grid[max(k - 1, 0)], grid[min(k + 1, cal.GRID_POINTS - 1)])
+        minimize_scalar(squared_rms, bounds=bracket, method="bounded", options={"xatol": cal.REFINE_TOL})
+        best = min(history, key=lambda rec: rec[1])
+        return AnisotropyFit(best[0], best[1], history, curves)
+
+    def test_bitwise_equal_to_the_one_at_a_time_fit(self):
+        # the grid solved at once and the prepared recording change no bit of the fit
+        cases = [synthetic_mocap(eps) for eps in (0.05, 0.1865, 0.7)]
+        cases.append(synthetic_mocap(0.3, gait=GaitEllipse(sigma=0.6, xc=0.5, yc=-0.3, theta=0.8, a=2.0, xi=1.4)))
+        rng = np.random.default_rng(7)
+        for mocap, params in cases:
+            weights = params.weights * rng.uniform(0.5, 1.5, len(params.weights))
+            for bounds in ((0.01, 1.0), (0.1, 0.6)):
+                expected, found = self.one_at_a_time_fit(mocap, weights, bounds), fit_anisotropy(mocap, weights, bounds)
+                assert (found.epsilon, found.rms) == (expected.epsilon, expected.rms)
+                assert found.evaluations == expected.evaluations
+                assert len(found.curves) == len(expected.curves)
+                for one, other in zip(found.curves, expected.curves):
+                    assert one.times.tobytes() == other.times.tobytes()
+                    assert one.positions.tobytes() == other.positions.tobytes()
+
+    def test_bad_weights_raise_before_any_solve(self, monkeypatch):
+        # a typed error, before the recording is prepared or any ratio solved
+        import snakesim.calibration as cal
+
+        def never(*args, **kwargs):
+            raise AssertionError("the recording was prepared or solved")
+
+        monkeypatch.setattr(cal, "_stack_pairs", never)
+        monkeypatch.setattr(cal, "_integrate_stacks", never)
+        mocap, params = synthetic_mocap(0.3, timesteps=6, edges=4)
+        for weights, error in ((np.full(5, np.nan), NonPositiveWeight), (-params.weights, NonPositiveWeight),
+                               (params.weights[:-1], ShapeMismatch)):
+            with pytest.raises(error):
+                cal.fit_anisotropy(mocap, weights)
+            with pytest.raises(error):
+                cal.resimulate(mocap, DissipationParams(weights, 0.3))
 
     def test_unpacks_as_pair(self):
         fit = AnisotropyFit(0.25, 1e-9, [(0.25, 1e-9, 0.1)])
@@ -325,10 +391,10 @@ class TestFitAnisotropy:
     def test_rms_minimum_is_found_when_displacement_is_v_shaped(self, monkeypatch):
         import snakesim.calibration as cal
 
-        def synthetic(mocap, weights, exp_curve, epsilon):
+        def synthetic(recording, epsilons):
             # RMS has its minimum at 0.3 while displacement is V-shaped about
             # 0.4: the fit follows the RMS alone, without a warning.
-            return (epsilon, (epsilon - 0.3) ** 2, 0.1 + abs(epsilon - 0.4)), None
+            return [((epsilon, (epsilon - 0.3) ** 2, 0.1 + abs(epsilon - 0.4)), None) for epsilon in epsilons]
 
         monkeypatch.setattr(cal, "_evaluate", synthetic)
         mocap, params = synthetic_mocap(0.3, timesteps=6, edges=4)

@@ -119,6 +119,44 @@ def test_config_file_may_hold_settings_a_subcommand_ignores(tmp_path, capsys, ga
     assert len(read_trajectory_csv(out / "trajectory.csv")) == 17  # 2 cycles of 8 steps, as configured
 
 
+def test_main_builds_one_parser(tmp_path, capsys, monkeypatch):
+    import snakesim.cli as cli
+
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for seed in ("1", "2"):
+            code, _, _ = run(capsys, "gait-sample", "--seed", seed, "--out", str(tmp_path))
+            assert code == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_handler_is_looked_up_at_call_time(tmp_path, capsys, monkeypatch, mocap_file):
+    # a wrapper set on cmd_calibrate after the parser was built (as a tracer sets one) still runs
+    import snakesim.cli as cli
+
+    out = str(tmp_path / "run")
+    assert run(capsys, "calibrate", mocap_file, "--out", out)[0] == 0
+    calls = []
+    original = cli.cmd_calibrate
+
+    def wrapped(args):
+        calls.append(args.mocap_file)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_calibrate", wrapped)
+    assert run(capsys, "calibrate", mocap_file, "--out", out)[0] == 0
+    assert calls == [mocap_file]
+
+
 class TestSimulate:
     def test_writes_all_outputs(self, tmp_path, capsys, gait_file):
         out = tmp_path / "run"
@@ -243,6 +281,36 @@ class TestOptimize:
         assert min(r.loss for r in history) <= history[0].loss
         best, meta = read_gait_file(out / "gait_optimized.txt")
         assert meta["timesteps"] == 10 and meta["edges"] == 5
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--c-sweep", "--c", "-1"], "--c has no effect with --c-sweep"),
+        (["--c-sweep", "--c", "0.5"], "--c has no effect with --c-sweep"),
+        (["--jobs", "2"], "--jobs applies only to --c-sweep"),
+        (["GAIT", "--seed", "3"], "--seed draws the seed gait"),
+    ])
+    def test_flags_the_run_would_ignore_exit_2(self, tmp_path, capsys, gait_file, argv, message):
+        out = tmp_path / "run"
+        argv = [gait_file if arg == "GAIT" else arg for arg in argv]
+        code, _, err = run(capsys, "optimize", *argv, "--max-evals", "2", "--out", str(out))
+        assert code == 2 and message in err
+        assert not out.exists()
+
+    def test_c_is_checked_under_c_sweep(self, tmp_path, capsys):
+        config = tmp_path / "negative.cfg"
+        config.write_text("c = -1\n")
+        out = tmp_path / "run"
+        code, _, err = run(capsys, "optimize", "--c-sweep", "--config", str(config), "--max-evals", "2", "--out", str(out))
+        assert code == 2 and "dissipation coefficient must be >= 0" in err
+        assert not out.exists()
+
+    def test_config_may_give_what_the_run_ignores(self, tmp_path, capsys, gait_file):
+        # one config file serves several runs, so its c, jobs and seed stay allowed where a flag is refused
+        config = tmp_path / "run.cfg"
+        config.write_text("c = 0.5\njobs = 1\nseed = 3\ntimesteps = 6\nedges = 4\n")
+        for argv in (["--c-sweep"], [gait_file], [gait_file, "--c-sweep"]):
+            code, _, err = run(capsys, "optimize", *argv, "--config", str(config), "--max-evals", "1",
+                               "--out", str(tmp_path / "run"))
+            assert code == 0, (argv, err)
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_below_one_exits_2(self, tmp_path, capsys, budget):
@@ -386,7 +454,7 @@ class TestCalibrate:
     def test_resimulates_once_per_evaluation(self, tmp_path, capsys, mocap_file, monkeypatch):
         import snakesim.calibration as calibration
 
-        calls = {"integrate_shape_sequence": [], "extract_shapes": []}
+        calls = {"_integrate_stacks": [], "tangents_from_vertices": []}
 
         def counting(name):
             original = getattr(calibration, name)
@@ -402,9 +470,10 @@ class TestCalibrate:
         out = tmp_path / "run"
         code, _, _ = run(capsys, "calibrate", mocap_file, "--out", str(out))
         assert code == 0
-        # one integration of the recorded shapes per evaluated ratio, extracted once
-        assert len(calls["integrate_shape_sequence"]) == len(read_calibration_csv(out / "calibration.csv"))
-        assert len(calls["extract_shapes"]) == 1
+        # one integration of the recorded shapes per evaluated ratio (the grid's in one solve), stacked once
+        solved = [params.epsilon for args in calls["_integrate_stacks"] for params in args[2]]
+        assert sorted(solved) == [row[0] for row in read_calibration_csv(out / "calibration.csv")]
+        assert len(calls["tangents_from_vertices"]) == 1
 
     def test_one_frame_recording_exits_2_without_output(self, tmp_path, capsys, mocap_file):
         one = tmp_path / "one.csv"

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import snakesim.dynamics as dyn
 from snakesim.dynamics import (
     DissipationParams,
     Trajectory,
@@ -63,6 +64,19 @@ def relaid(shape, layout):
         big[:, ::2] = points
         return big[:, ::2]
     return PositionedShape(lay(shape.vertices), lay(shape.tangents))
+
+
+def angle_equation(prev, nxt, params):
+    """The angle equation of one step pair (or stacked pairs) at the ratio of `params`."""
+    from snakesim.dynamics import _AngleEquation, _StepPairs
+
+    return _AngleEquation(_StepPairs(prev, nxt, params.weights), params.epsilon)
+
+
+def registration_angle(prev, nxt, params):
+    from snakesim.dynamics import _StepPairs
+
+    return _StepPairs(prev, nxt, params.weights).registration_angle
 
 
 def integer_frames(rng, count=6, num_vertices=7):
@@ -365,8 +379,6 @@ class TestPositionStep:
             position_step(shapes[0], shapes[1], params, guess=RigidMotion(np.inf, np.zeros(2)))
 
     def test_angle_equation_matches_reference_residual(self):
-        from snakesim.dynamics import _AngleEquation
-
         rng = np.random.default_rng(29)
         for _ in range(8):
             edges = int(rng.integers(2, 12))
@@ -381,7 +393,7 @@ class TestPositionStep:
             weights = rng.uniform(0.1, 2.0, size=edges + 1)
             for eps in (0.05, 0.1865, 1.0):
                 params = DissipationParams(weights, eps)
-                equation = _AngleEquation(shapes[0], shapes[1], params)
+                equation = angle_equation(shapes[0], shapes[1], params)
                 for _ in range(5):
                     theta = rng.normal(scale=[2.0, 1.0, 1.0])[0]
                     g, _, b = equation(theta)
@@ -392,8 +404,6 @@ class TestPositionStep:
                     assert np.max(np.abs(reduced - reference)) <= 1e-14 * weights.sum() * length
 
     def test_angle_derivative_matches_finite_differences(self):
-        from snakesim.dynamics import _AngleEquation
-
         rng = np.random.default_rng(23)
         h = 1e-6
         for _ in range(10):
@@ -408,7 +418,7 @@ class TestPositionStep:
             ]
             weights = rng.uniform(0.1, 2.0, size=edges + 1)
             for eps in (0.05, 0.1865, 1.0):
-                equation = _AngleEquation(shapes[0], shapes[1], DissipationParams(weights, eps))
+                equation = angle_equation(shapes[0], shapes[1], DissipationParams(weights, eps))
                 for theta in rng.uniform(-np.pi, np.pi, size=5):
                     fd = (equation(theta + h)[0] - equation(theta - h)[0]) / (2 * h)
                     assert abs(equation(theta)[1] - fd) <= 1e-7 * weights.sum() * length**2
@@ -427,11 +437,11 @@ class TestPositionStep:
     def test_translation_is_evaluated_at_the_returned_angle(self):
         # seeds and budgets that end in Newton, the scan, the bracketed refinement,
         # and a budget that runs out before the refinement evaluates its next angle
-        from snakesim.dynamics import _AngleEquation, _solve_angle
+        from snakesim.dynamics import _solve_angle
 
         prev, nxt = gait_to_shape_sequence(COARSE_GAIT, 4, 11, 0.92)[:2]
         params = DissipationParams.uniform(1.38, 12, 0.1865)
-        equation = _AngleEquation(prev, nxt, params)
+        equation = angle_equation(prev, nxt, params)
         accept_tol = 1e-10 * params.weights.sum() * nxt.polyline_length
         for seed in np.linspace(-np.pi, np.pi, 24, endpoint=False):
             for budget in (1, 4, 8, 12, 20, 100):
@@ -463,11 +473,9 @@ class TestPositionStep:
     def test_root_nearest_the_seed_angle(self):
         # g changes sign twice on this step; from any seed angle the step lands
         # on the root nearest it, whether Newton reaches it or the scan does
-        from snakesim.dynamics import _AngleEquation
-
         prev, nxt = gait_to_shape_sequence(COARSE_GAIT, 4, 11, 0.92)[:2]
         params = DissipationParams.uniform(1.38, 12, 0.1865)
-        equation = _AngleEquation(prev, nxt, params)
+        equation = angle_equation(prev, nxt, params)
         grid = np.linspace(0.0, 2 * np.pi, 4097)
         g = np.array([equation(theta)[0] for theta in grid])
         crossing = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
@@ -490,7 +498,6 @@ class TestSeedAngle:
     shape onto the previous one, which the angle equation sums from its own centred points."""
 
     def test_equation_gives_the_registration_angle_the_phase_of_p1(self):
-        from snakesim.dynamics import _AngleEquation
         from snakesim.optimize import random_gait
 
         def gap(a, b):
@@ -506,29 +513,27 @@ class TestSeedAngle:
                 params = DissipationParams(rng.uniform(0.05, 0.3, 12), eps)
                 for prev, nxt in zip(moved, shapes[1:]):
                     expected = rigid_registration(nxt.vertices, prev.vertices, params.weights).angle
-                    equation = _AngleEquation(prev, nxt, params)
-                    found = equation.registration_angle()
+                    equation = angle_equation(prev, nxt, params)
+                    found = registration_angle(prev, nxt, params)
                     worst = max(worst, gap(found, expected), gap(math.atan2(equation.p1.imag, equation.p1.real), expected))
                 # a stack answers for its first step
-                stack = _AngleEquation(*(SimpleNamespace(vertices=np.array([s.vertices for s in part]),
-                                                         tangents=np.array([s.tangents for s in part]))
-                                         for part in (moved[:-1], shapes[1:])), params)
-                worst = max(worst, gap(stack.registration_angle(), _AngleEquation(moved[0], shapes[1], params).registration_angle()))
+                stack = registration_angle(*(SimpleNamespace(vertices=np.array([s.vertices for s in part]),
+                                                             tangents=np.array([s.tangents for s in part]))
+                                             for part in (moved[:-1], shapes[1:])), params)
+                worst = max(worst, gap(stack, registration_angle(moved[0], shapes[1], params)))
         assert worst <= 1e-15
 
     def test_equal_shapes_and_zero_sums_give_angle_zero(self):
-        from snakesim.dynamics import _AngleEquation
-
         shape = reference_shapes()[3]
         params = DissipationParams(np.linspace(0.05, 0.3, shape.num_vertices), 0.3)
-        assert _AngleEquation(shape, shape, params).registration_angle() == 0.0
+        assert registration_angle(shape, shape, params) == 0.0
         # centred points whose weighted sum of conj(V) P vanishes: 1 - 0 - 1 = 0, and all on one line
         line = np.array([1.0, 0.0])
         prev = SimpleNamespace(vertices=np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), tangents=np.array([line] * 3))
         nxt = SimpleNamespace(vertices=np.array([[-1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]]), tangents=np.array([line] * 3))
         params = DissipationParams(np.ones(3), 0.3)
         assert rigid_registration(nxt.vertices, prev.vertices, params.weights).angle == 0.0
-        assert _AngleEquation(prev, nxt, params).registration_angle() == 0.0
+        assert registration_angle(prev, nxt, params) == 0.0
 
 
 class TestIntegrateMotionTrajectory:
@@ -766,6 +771,98 @@ class TestIntegrateShapeSequence:
             integrate_shape_sequence(shapes, DissipationParams.uniform(1.38, 8, 0.3))
         with pytest.raises(ShapeMismatch):
             integrate_shape_sequence(shapes[:2] + reference_shapes(edges=6)[:2], DissipationParams.uniform(1.38, 9, 0.3))
+
+
+def ramped_recording(rng, frames=61, edges=11):
+    """(T+1, N, 2) frames and tangents like the benchmark's marker recordings: a travelling gait whose
+    amplitude ramps over the recording, integrated at a random ratio and moved rigidly."""
+    from dataclasses import replace
+
+    from snakesim.shapespace import sample_gait, serpenoid_curvature
+
+    gait = GaitEllipse(sigma=rng.uniform(0.5, 1.0), xc=0.0, yc=0.0, theta=rng.uniform(0.0, np.pi),
+                       a=rng.uniform(2.0, 4.0), xi=rng.uniform(0.8, 1.2))
+    stations = np.arange(edges) / edges
+    shapes = []
+    for j in range(frames):
+        point = sample_gait(replace(gait, a=gait.a * (0.75 + 0.5 * j / (frames - 1))), j / 50)
+        shapes.append(curve_from_curvature(serpenoid_curvature(point, gait.xi, stations), 0.92))
+    traj = integrate_shape_sequence(shapes, DissipationParams.uniform(1.38, edges + 1, rng.uniform(0.05, 0.9)))
+    moved = RigidMotion(rng.uniform(-np.pi, np.pi), rng.normal(size=2)).move(traj.vertices, traj.tangents)
+    return moved[0], tangents_from_vertices(moved[0])
+
+
+class TestRatioAxis:
+    """`_integrate_stacks` at B ratios against a loop of one-ratio solves, the reference kept here."""
+
+    GRID = np.geomspace(0.01, 1.0, 6)  # the grid of `fit_anisotropy`
+
+    @staticmethod
+    def one_ratio_solves(verts, tangs, weights, epsilons):
+        # each ratio on fresh copies of the stacks, which a one-ratio solve overwrites
+        return [dyn._integrate_stacks(verts.copy(), tangs.copy(), [DissipationParams(weights, eps)])[0] for eps in epsilons]
+
+    def assert_bitwise(self, verts, tangs, weights, epsilons):
+        expected = self.one_ratio_solves(verts, tangs, weights, epsilons)
+        before = verts.copy(), tangs.copy()
+        params = [DissipationParams(weights, eps) for eps in epsilons]
+        found = dyn._integrate_stacks(verts, tangs, params, dyn._stack_pairs(verts, tangs, params[0].weights))
+        # prepared pairs: the stacks are left as they were, to be solved again
+        assert np.array_equal(verts, before[0]) and np.array_equal(tangs, before[1])
+        assert len(found) == len(epsilons)
+        for p, one, many in zip(params, expected, found):
+            assert many.params is p
+            for name in ("vertices", "tangents", "step_energies"):
+                assert getattr(many, name).tobytes() == getattr(one, name).tobytes(), (eps, name)
+
+    def test_bitwise_one_ratio_solves_on_gait_cycles(self):
+        from snakesim.optimize import random_gait
+        from snakesim.shapespace import _cycle_stacks
+
+        weights = DissipationParams.uniform(1.38, 12, 0.5).weights
+        for seed in range(40):
+            self.assert_bitwise(*_cycle_stacks(random_gait(seed), 50, 11, 0.92), weights, self.GRID)
+
+    def test_bitwise_one_ratio_solves_on_ramped_recordings(self):
+        rng = np.random.default_rng(18)
+        for _ in range(4):
+            verts, tangs = ramped_recording(rng)
+            self.assert_bitwise(verts, tangs, rng.uniform(0.05, 0.2, 12), self.GRID)
+
+    def test_each_fallback_runs_at_its_own_ratio(self, monkeypatch):
+        # COARSE_GAIT in 4 timesteps: step 4 is accepted in lockstep at the two largest grid ratios
+        # and goes to position_step at the four others
+        from snakesim.shapespace import _cycle_stacks
+
+        handed_over = []
+        original = dyn.position_step
+
+        def counted(prev, nxt, params, guess=None):
+            handed_over.append((params.epsilon, prev.vertices.tobytes()))
+            return original(prev, nxt, params, guess=guess)
+
+        monkeypatch.setattr(dyn, "position_step", counted)
+        weights = DissipationParams.uniform(1.38, 12, 0.5).weights
+        verts, tangs = _cycle_stacks(COARSE_GAIT, 4, 11, 0.92)
+        self.one_ratio_solves(verts, tangs, weights, self.GRID)
+        expected, handed_over[:] = sorted(handed_over), []
+        self.assert_bitwise(verts, tangs, weights, self.GRID)
+        batched = handed_over[len(expected):]
+        assert sorted(batched) == expected
+        ratios_per_step = {}
+        for eps, step in batched:
+            ratios_per_step.setdefault(step, set()).add(eps)
+        assert any(0 < len(ratios) < len(self.GRID) for ratios in ratios_per_step.values())
+
+    def test_one_ratio_without_pairs_writes_into_the_stacks(self):
+        from snakesim.optimize import random_gait
+        from snakesim.shapespace import _cycle_stacks
+
+        verts, tangs = _cycle_stacks(random_gait(3), 20, 11, 0.92)
+        first = verts[0].copy()
+        (traj,) = dyn._integrate_stacks(verts, tangs, [DissipationParams(np.full(12, 0.115), 0.3)])
+        assert traj.vertices is verts and traj.tangents is tangs
+        assert np.array_equal(verts[0], first)
 
 
 class TestTrajectoryStacks:
