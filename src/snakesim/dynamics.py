@@ -14,12 +14,12 @@ The step path reads the stored (N, 2) vertex and tangent arrays as x + iy
 with e^{i theta}, and the momentum is the 3-vector (rotational, x, y).  The
 reference residual that accepts every step and the step's energy come from
 one pass, `_momentum_and_energy`.  A non-finite residual never counts as converged.
-It and `_AngleEquation` also take (T, N, 2) stacks of step pairs, whose roots are independent under
-rigid motions, with one ratio or each pair at its own.  The lockstep core, `_integrate_stacks`, solves
-the T steps of a sequence at B ratios in one vector Newton over the B T pairs, the part of the equations
-that no ratio enters (`_StepPairs`) prepared once and reusable across calls.  Calibration
-(`integrate_shape_sequence`, `resimulate`, and `fit_anisotropy`'s whole ratio grid in one call) and the gait
-search's objective (`optimize.evaluate_gait`, on the gait's frame stacks directly) solve this way, while
+It and `_AngleEquation` also take (T, N, 2) stacks of step pairs, whose roots are independent under rigid
+motions, with one ratio or each pair at its own.  The lockstep core, `_integrate_stacks`, solves the T steps of
+a sequence at B ratios in one vector Newton over the B T pairs.  What no ratio enters (`_StepPairs`, the tangent
+sums among it) is prepared once and may be kept, so a ratio costs one scale of those sums by (eps - 1) / 2.
+Calibration (`integrate_shape_sequence`, `resimulate`, and `fit_anisotropy`'s whole ratio grid in one call) and
+the gait search's objective (`optimize.evaluate_gait`, on the gait's frame stacks directly) solve this way, while
 `simulate_gait` still makes one `position_step` per step, because the benchmark's `sweep` check counts those calls.
 A `Trajectory` holds its frames as (T+1, N, 2) vertex and tangent stacks, checked
 once, and derives `PositionedShape` objects only for callers that ask for them.
@@ -183,8 +183,8 @@ class _StepPairs:
     """Step pairs under per-vertex weights, with the parts of their angle equations that no ratio enters.
 
     `prev` and `nxt` are one pair of (N, 2) shapes, or (T, N, 2) stacks holding the T pairs (prev[t], nxt[t]).
-    Made once, they serve `_AngleEquation` at any ratio: the centroids, the centred columns, the squared
-    tangents, the sum behind P1, each step's acceptance bound and the registration angle.
+    Made once, they serve `_AngleEquation` at any ratio: the centroids, the tangent sums without their
+    factor (eps - 1) / 2, the sum behind P1, each step's acceptance bound and the registration angle.
     """
 
     def __init__(self, prev, nxt, weights: np.ndarray):
@@ -192,14 +192,16 @@ class _StepPairs:
         self.total = total = float(weights.sum())
         p, v = complex_view(prev.vertices), complex_view(nxt.vertices)
         self.bars = np.array([p, v]) @ weights / total
-        # the pairwise products of the columns 1, conj(V), conj(P), weighted by
-        # gamma s^2 (prev tangents) and gamma u^2 (next tangents), give every sum
+        # the pairwise products of the columns 1, conj(V), conj(P), weighted by w s^2 (prev tangents) and w u^2
+        # (next tangents): every tangent sum but its factor (eps - 1) / 2, row by row, (18,) or (18, T) one column a pair
         self.cols = cols = np.empty(p.shape + (3,), dtype=complex)
         cols[..., 0] = 1.0
         np.conjugate(v - self.bars[1, ..., None], out=cols[..., 1])
         np.conjugate(p - self.bars[0, ..., None], out=cols[..., 2])
-        self.squares = squares = np.array([complex_view(prev.tangents), complex_view(nxt.tangents)])
-        squares *= squares
+        t2 = np.array([complex_view(prev.tangents), complex_view(nxt.tangents)])
+        t2 *= t2
+        sums = (t2[..., None, :] * weights * cols.swapaxes(-1, -2)) @ cols
+        self.sums = sums.reshape(18) if p.ndim == 1 else sums.transpose(0, 2, 3, 1).reshape(18, -1)
         self.p1_sum = (cols[..., 2].conjugate() * weights * cols[..., 1]).sum(axis=-1)  # sum(w conj(V) P)
         self.accept_tol = _acceptance_bound(nxt.vertices, total)
 
@@ -229,8 +231,8 @@ class _StepPairs:
         tiled.prev, tiled.nxt = (
             SimpleNamespace(vertices=tile(half.vertices), tangents=tile(half.tangents)) for half in (self.prev, self.nxt)
         )
-        tiled.bars, tiled.squares = tile(self.bars, 1), tile(self.squares, 1)
-        tiled.cols, tiled.p1_sum, tiled.accept_tol = tile(self.cols), tile(self.p1_sum), tile(self.accept_tol)
+        tiled.bars, tiled.sums = tile(self.bars, 1), tile(self.sums, -1)
+        tiled.p1_sum, tiled.accept_tol = tile(self.p1_sum), tile(self.accept_tol)
         return tiled
 
 
@@ -246,26 +248,24 @@ class _AngleEquation:
     The translational rows 2 B b + H conj(b) + K = 0 are linear in b, and
     |H| <= sum(w) (1 - eps) < 2 B = sum(w) (1 + eps), so b(theta) is unique.
     With b = b(theta) they vanish and the rotational row no longer depends
-    on the origin: g(theta) is the momentum's rotational component.  Twelve
-    weighted sums, formed once from the `_StepPairs` and the ratio, make each
-    evaluation a few dozen scalar operations, on Python numbers for one pair
-    and on (T,) arrays for T stacked pairs.  The ratio is one float, or for
-    stacked pairs a (T,) array, each pair at its own ratio: every element
-    goes through the operations a float ratio would take it through, so a
-    pair's values are bitwise the same either way.
+    on the origin: g(theta) is the momentum's rotational component.  Ten tangent
+    sums from the `_StepPairs`, scaled here by (eps - 1) / 2, with P1 and 2 B,
+    make each evaluation a few dozen scalar operations, on Python numbers for
+    one pair and on (T,) arrays for T stacked pairs.  The ratio is one float, or
+    for stacked pairs a (T,) array, each pair at its own ratio: every element
+    goes through the operations a float ratio would take it through, so a pair's
+    values are bitwise the same either way.
     """
 
     def __init__(self, pairs: _StepPairs, epsilon):
-        gamma = 0.5 * (epsilon - 1.0)
-        t2 = pairs.squares * (gamma[:, None] * pairs.weights if isinstance(gamma, np.ndarray) else gamma * pairs.weights)
-        sums = (t2[..., None, :] * pairs.cols.swapaxes(-1, -2)) @ pairs.cols
+        sums = 0.5 * (epsilon - 1.0) * pairs.sums  # (eps - 1) / 2: one float, or one per pair on the last axis
         p1 = 0.5 * (1.0 + epsilon) * pairs.p1_sum
-        if pairs.cols.ndim == 2:
+        if sums.ndim == 1:
             sums, (self.p_bar, self.v_bar), self.p1 = sums.tolist(), pairs.bars.tolist(), complex(p1)
         else:
-            sums, (self.p_bar, self.v_bar), self.p1 = sums.transpose(0, 2, 3, 1), pairs.bars, p1
-        (self.s2, self.s2v, self.s2p), (_, self.s2vv, self.s2vp), _ = sums[0]
-        (self.u2, self.u2v, self.u2p), _, (_, self.u2pv, self.u2pp) = sums[1]
+            (self.p_bar, self.v_bar), self.p1 = pairs.bars, p1
+        (self.s2, self.s2v, self.s2p, _, self.s2vv, self.s2vp, _, _, _,
+         self.u2, self.u2v, self.u2p, _, _, _, _, self.u2pv, self.u2pp) = sums
         self.two_b = pairs.total * (1.0 + epsilon)
 
     def __call__(self, theta):
@@ -512,9 +512,9 @@ def _integrate_stacks(verts: np.ndarray, tangs: np.ndarray, params: list[Dissipa
             raise
         theta[s], b[s], energies[s] = solution.motion.angle, complex(*solution.motion.translation), solution.energy
     # per ratio, frame t turns by e^{i (theta_1 + ... + theta_t)} and shifts by the b_k, k <= t, each turned as frame k - 1
-    rotors = np.exp(1j * np.cumsum(theta.reshape(count, steps), axis=-1))
-    shifts = np.cumsum(np.concatenate((np.ones((count, 1)), rotors[:, :-1]), axis=-1) * b.reshape(count, steps), axis=-1)
-    rotors, shifts = rotors.reshape(-1, 1), shifts.reshape(-1, 1)
+    rotors, shifts = np.exp(1j * np.cumsum(theta.reshape(count, steps), axis=-1)), b.reshape(count, steps)
+    shifts[:, 1:] *= rotors[:, :-1]
+    rotors, shifts = rotors.reshape(-1, 1), np.cumsum(shifts, axis=-1).reshape(-1, 1)
     moved = _turn(rotors, pairs.nxt.vertices, shifts), _turn(rotors, pairs.nxt.tangents)
     if in_place:
         verts[1:], tangs[1:] = moved

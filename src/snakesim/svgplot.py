@@ -35,7 +35,7 @@ class SvgCanvas:
         return "".join(f' {k}="{_escape(v, quote=True)}"' for k, v in mapping.items() if v is not None)
 
     def polyline(self, points, stroke="black", stroke_width=1.5, dash=None, opacity=None):
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        coords = " ".join(map("{:.2f},{:.2f}".format, *np.asarray(points, dtype=float).reshape(-1, 2).T.tolist()))
         attrs = {"fill": "none", "stroke": stroke, "stroke-width": stroke_width, "stroke-dasharray": dash, "opacity": opacity}
         self._parts.append(f'<polyline points="{coords}"' + self._attrs(attrs) + "/>")
 
@@ -96,6 +96,7 @@ class _Frame:
         self.ylim = (y0, y1)
 
     def map(self, x, y):
+        """Canvas coordinates of the data point (x, y); numpy arrays map element by element, as floats would."""
         x0, x1 = self.xlim
         y0, y1 = self.ylim
         px = _MARGIN + (x - x0) / (x1 - x0) * (self.canvas.width - 2 * _MARGIN)
@@ -103,7 +104,8 @@ class _Frame:
         return px, py
 
     def map_points(self, xs, ys):
-        return [self.map(x, y) for x, y in zip(xs, ys)]
+        """(M, 2) canvas points of the data arrays `xs` and `ys`."""
+        return np.column_stack(self.map(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)))
 
     def draw_axes(self, xlabel="", ylabel="", title=""):
         c = self.canvas

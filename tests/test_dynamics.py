@@ -865,6 +865,76 @@ class TestRatioAxis:
         assert np.array_equal(verts[0], first)
 
 
+class TestHoistedSums:
+    """`_StepPairs` forms the tangent sums once and `_AngleEquation` scales them by gamma, against a per-ratio reference."""
+
+    GRID = np.geomspace(0.01, 1.0, 6)  # the grid of `fit_anisotropy`
+    # each sum of the equation: tangent set (0 prev, 1 next), row and column of the weighted column products
+    SUMS = {"s2": (0, 0, 0), "s2v": (0, 0, 1), "s2p": (0, 0, 2), "s2vv": (0, 1, 1), "s2vp": (0, 1, 2),
+            "u2": (1, 0, 0), "u2v": (1, 0, 1), "u2p": (1, 0, 2), "u2pv": (1, 2, 1), "u2pp": (1, 2, 2)}
+
+    @staticmethod
+    def reference_products(verts, tangs, weights, epsilon):
+        """The (2, T, 3, 3) tangent products as formed for each ratio before the hoist, and their magnitudes'."""
+        p, v = dyn.complex_view(verts[:-1]), dyn.complex_view(verts[1:])
+        bars = np.array([p, v]) @ weights / weights.sum()
+        cols = np.empty(p.shape + (3,), dtype=complex)
+        cols[..., 0] = 1.0
+        cols[..., 1] = np.conjugate(v - bars[1, ..., None])
+        cols[..., 2] = np.conjugate(p - bars[0, ..., None])
+        t2 = np.array([dyn.complex_view(tangs[:-1]), dyn.complex_view(tangs[1:])])
+        t2 *= t2
+        t2 *= 0.5 * (epsilon - 1.0) * weights
+        sizes = (np.abs(t2)[..., None, :] * np.abs(cols).swapaxes(-1, -2)) @ np.abs(cols)
+        return (t2[..., None, :] * cols.swapaxes(-1, -2)) @ cols, sizes
+
+    def stacks(self):
+        from snakesim.optimize import random_gait
+        from snakesim.shapespace import _cycle_stacks
+
+        yield _cycle_stacks(COARSE_GAIT, 4, 11, 0.92)
+        yield _cycle_stacks(random_gait(7), 50, 11, 0.92)
+
+    def test_reused_pairs_match_the_per_ratio_products(self):
+        weights = np.random.default_rng(19).uniform(0.05, 0.2, 12)
+        for verts, tangs in self.stacks():
+            pairs = dyn._stack_pairs(verts, tangs, weights)
+            for eps in self.GRID:
+                equation = dyn._AngleEquation(pairs, eps)
+                expected, sizes = self.reference_products(verts, tangs, weights, eps)
+                for name, (half, row, col) in self.SUMS.items():
+                    gap = np.abs(getattr(equation, name) - expected[half, :, row, col])
+                    # a few units in the last place of the sum of the magnitudes of its terms
+                    assert np.all(gap <= 8 * np.finfo(float).eps * sizes[half, :, row, col]), (eps, name)
+
+    def test_one_pair_matches_the_per_ratio_products(self):
+        weights = np.random.default_rng(20).uniform(0.05, 0.2, 12)
+        for verts, tangs in self.stacks():
+            prev, nxt = dyn._shape_views(verts[1:3], tangs[1:3])
+            pairs = dyn._StepPairs(prev, nxt, weights)
+            for eps in self.GRID:
+                equation = dyn._AngleEquation(pairs, eps)
+                expected, sizes = self.reference_products(verts[1:3], tangs[1:3], weights, eps)
+                for name, (half, row, col) in self.SUMS.items():
+                    assert isinstance(getattr(equation, name), complex)
+                    assert abs(getattr(equation, name) - expected[half, 0, row, col]) <= 8 * np.finfo(float).eps * sizes[half, 0, row, col]
+
+    def test_reused_pairs_give_bitwise_the_fresh_equation(self):
+        weights = np.random.default_rng(21).uniform(0.05, 0.2, 12)
+        for verts, tangs in self.stacks():
+            pairs = dyn._stack_pairs(verts, tangs, weights)
+            sums = pairs.sums.copy()
+            theta = np.linspace(-0.5, 0.5, len(verts) - 1)
+            for eps in self.GRID:
+                reused = dyn._AngleEquation(pairs, eps)
+                fresh = dyn._AngleEquation(dyn._stack_pairs(verts, tangs, weights), eps)
+                for name in (*self.SUMS, "p1", "p_bar", "v_bar", "two_b"):
+                    assert np.asarray(getattr(reused, name)).tobytes() == np.asarray(getattr(fresh, name)).tobytes(), (eps, name)
+                for found, expected in zip(reused(theta), fresh(theta)):
+                    assert found.tobytes() == expected.tobytes()
+            assert pairs.sums.tobytes() == sums.tobytes()  # no ratio wrote into the shared sums
+
+
 class TestTrajectoryStacks:
     def stacks(self, frames=4, num_vertices=5):
         rng = np.random.default_rng(frames)

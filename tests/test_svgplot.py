@@ -144,3 +144,63 @@ class TestPlotHeatmap:
             plot_heatmap(tmp_path / "bad.svg", np.zeros((0, 0)))
         with pytest.raises(EmptyInput):
             plot_heatmap(tmp_path / "bad2.svg", np.array([1.0, 2.0]))
+
+
+class TestBulkPoints:
+    """`_Frame.map_points` and `SvgCanvas.polyline` work on whole arrays; the bytes are those of the per-point loop kept here."""
+
+    @staticmethod
+    def per_point(monkeypatch):
+        """Put back the per-point mapping and formatting: one `map` call and one f-string per point."""
+        from snakesim import svgplot
+
+        def map_points(self, xs, ys):
+            return [self.map(x, y) for x, y in zip(xs, ys)]
+
+        def polyline(self, points, stroke="black", stroke_width=1.5, dash=None, opacity=None):
+            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+            attrs = {"fill": "none", "stroke": stroke, "stroke-width": stroke_width, "stroke-dasharray": dash, "opacity": opacity}
+            self._parts.append(f'<polyline points="{coords}"' + self._attrs(attrs) + "/>")
+
+        monkeypatch.setattr(svgplot._Frame, "map_points", map_points)
+        monkeypatch.setattr(svgplot.SvgCanvas, "polyline", polyline)
+
+    def same_bytes(self, tmp_path, monkeypatch, plot, *args, **kwargs):
+        plot(tmp_path / "bulk.svg", *args, **kwargs)
+        with monkeypatch.context() as patch:
+            self.per_point(patch)
+            plot(tmp_path / "loop.svg", *args, **kwargs)
+        bulk, loop = (tmp_path / "bulk.svg").read_bytes(), (tmp_path / "loop.svg").read_bytes()
+        assert bulk == loop
+        return bulk.decode()
+
+    def test_trajectory_with_its_dashed_com_path(self, tmp_path, monkeypatch):
+        from snakesim.dynamics import DissipationParams
+        from snakesim.optimize import SimConfig, random_gait, simulate_gait
+
+        for seed in range(4):
+            traj = simulate_gait(random_gait(seed), SimConfig(cycles=3), DissipationParams.uniform(1.38, 12, 0.2))
+            text = self.same_bytes(tmp_path, monkeypatch, plot_trajectory, traj.vertices, com_path=traj.com_path(), title=f"gait {seed}")
+            assert 'stroke-dasharray="6,4"' in text
+        # a single frame, no CoM path: one body and a frame padded around a point-sized extent
+        self.same_bytes(tmp_path, monkeypatch, plot_trajectory, traj.vertices[:1])
+
+    def test_curves_with_a_one_point_curve_and_equal_aspect(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = np.sort(rng.uniform(-3.0, 5.0, 40))
+        curves = [
+            {"x": x, "y": np.sin(x) * 1e-3, "label": "small"},
+            {"x": x, "y": rng.normal(size=40), "dash": "4,2", "opacity": 0.5, "width": 2.0},
+            {"x": [0.25], "y": [-0.5], "label": "one point"},  # drawn as a circle
+            {"x": [], "y": []},
+        ]
+        for equal_aspect in (False, True):
+            text = self.same_bytes(tmp_path, monkeypatch, plot_curves, curves, xlabel="x", ylabel="y", equal_aspect=equal_aspect)
+            assert text.count("<circle") == 1 and text.count("<polyline") == 3
+
+    def test_polyline_of_no_points(self):
+        from snakesim.svgplot import SvgCanvas
+
+        canvas = SvgCanvas()
+        canvas.polyline([])
+        assert '<polyline points=""' in canvas.to_string()
