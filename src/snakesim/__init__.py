@@ -84,6 +84,7 @@ from .optimize import (
     ObjectiveConfig,
     SimConfig,
     evaluate_gait,
+    evaluate_gaits,
     gait_loss,
     net_displacement,
     optimize_gait,

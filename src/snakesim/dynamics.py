@@ -16,10 +16,11 @@ reference residual that accepts every step and the step's energy come from
 one pass, `_momentum_and_energy`.  A non-finite residual never counts as converged.
 It and `_AngleEquation` also take (T, N, 2) stacks of step pairs, whose roots are independent under rigid
 motions, with one ratio or each pair at its own.  The lockstep core, `_integrate_stacks`, solves the T steps of
-a sequence at B ratios in one vector Newton over the B T pairs.  What no ratio enters (`_StepPairs`, the tangent
-sums among it) is prepared once and may be kept, so a ratio costs one scale of those sums by (eps - 1) / 2.
-Calibration (`integrate_shape_sequence`, `resimulate`, and `fit_anisotropy`'s whole ratio grid in one call) and
-the gait search's objective (`optimize.evaluate_gait`, on the gait's frame stacks directly) solve this way, while
+a sequence at B ratios, or of B sequences at one ratio, in one vector Newton over the B T pairs.  What no ratio
+enters (`_StepPairs`, the tangent sums among it) is prepared once and may be kept, so a ratio costs one scale of
+those sums by (eps - 1) / 2.  Calibration (`integrate_shape_sequence`, `resimulate`, and `fit_anisotropy`'s whole
+ratio grid in one call) and the gait search's objective (`optimize.evaluate_gaits`, on the frame stacks of a list
+of gait cycles directly, the search's starting simplex in one call) solve this way, while
 `simulate_gait` still makes one `position_step` per step, because the benchmark's `sweep` check counts those calls.
 A `Trajectory` holds its frames as (T+1, N, 2) vertex and tangent stacks, checked
 once, and derives `PositionedShape` objects only for callers that ask for them.
@@ -205,15 +206,15 @@ class _StepPairs:
         self.p1_sum = (cols[..., 2].conjugate() * weights * cols[..., 1]).sum(axis=-1)  # sum(w conj(V) P)
         self.accept_tol = _acceptance_bound(nxt.vertices, total)
 
-    @cached_property
-    def registration_angle(self) -> float:
-        """The angle of the weighted rigid registration of the (first) arriving shape onto `prev`; 0 where its sums vanish.
+    def registration_angle(self, pair: int = 0) -> float:
+        """The angle of the weighted rigid registration of one pair's arriving shape onto `prev`; 0 where its sums vanish.
 
         That angle (`geometry.rigid_registration`) is arg sum(w conj(V) P), so the phase of P1.  It is summed
         here from real products, as the registration sums it: a complex product may be fused, and P1 of two
-        equal shapes then has a round-off imaginary part, which would turn a motionless step.
+        equal shapes then has a round-off imaginary part, which would turn a motionless step.  `pair` indexes
+        stacked pairs.
         """
-        first = self.cols if self.cols.ndim == 2 else self.cols[0]
+        first = self.cols if self.cols.ndim == 2 else self.cols[pair]
         v, p = first[:, 1], first[:, 2]  # conj(V) and conj(P)
         cross = float(self.weights @ (v.imag * p.real - v.real * p.imag))
         dot = float(self.weights @ (v.real * p.real + v.imag * p.imag))
@@ -223,7 +224,7 @@ class _StepPairs:
         """The T stacked pairs `count` times over, count T pairs in all: each value is copied, not recomputed."""
         if count == 1:
             return self
-        tiled = copy.copy(self)  # keeps the weights, the total and a registration angle already found
+        tiled = copy.copy(self)  # keeps the weights, the total and any seeds
 
         def tile(values, axis=0):
             return np.concatenate([values] * count, axis=axis)
@@ -398,7 +399,7 @@ def position_step(
     pairs = _StepPairs(prev, next_shape, params.weights)
     equation, accept_tol = _AngleEquation(pairs, params.epsilon), float(pairs.accept_tol)
     if guess is None:
-        seed = pairs.registration_angle
+        seed = pairs.registration_angle()
     else:
         seed = float(guess.angle)
     if not math.isfinite(seed):
@@ -457,34 +458,48 @@ def integrate_shape_sequence(shapes: list[PositionedShape], params: DissipationP
 
 
 def _stack_pairs(verts: np.ndarray, tangs: np.ndarray, weights: np.ndarray) -> _StepPairs:
-    """The T steps of (T+1, N, 2) vertex and tangent stacks, frame t to frame t + 1, as `_StepPairs`."""
-    prev = SimpleNamespace(vertices=verts[:-1], tangents=tangs[:-1])
-    return _StepPairs(prev, SimpleNamespace(vertices=verts[1:], tangents=tangs[1:]), weights)
+    """The steps, frame t to frame t + 1, of (T+1, N, 2) vertex and tangent stacks, or sequence by sequence of
+    (B, T+1, N, 2) ones, as `_StepPairs`, with each sequence's step-1 seed, its first pair's registration angle."""
+    shape, steps = (-1,) + verts.shape[-2:], verts.shape[-3] - 1
+    prev = SimpleNamespace(vertices=verts[..., :-1, :, :].reshape(shape), tangents=tangs[..., :-1, :, :].reshape(shape))
+    nxt = SimpleNamespace(vertices=verts[..., 1:, :, :].reshape(shape), tangents=tangs[..., 1:, :, :].reshape(shape))
+    pairs = _StepPairs(prev, nxt, weights)
+    pairs.seeds = [pairs.registration_angle(t) for t in range(0, len(pairs.accept_tol), steps or 1)]
+    return pairs
 
 
 def _integrate_stacks(verts: np.ndarray, tangs: np.ndarray, params: list[DissipationParams], pairs: _StepPairs | None = None) -> list[Trajectory]:
-    """`integrate_shape_sequence` at each of B `params`, on (T+1, N, 2) stacks that `_check_frames` passed.
+    """`integrate_shape_sequence` in blocks: one sequence at each of B `params`, or B sequences at one.
 
-    The B parameter sets share one weights vector, N weights, and differ in their ratios.  The T steps are
-    taken once per ratio, B T pairs in all, each at its own ratio, and one vector Newton solves them: each
-    keeps its own active mask and stopping rule, and a pair that misses its bound goes to `position_step`
-    at its own ratio, so each trajectory is bitwise the one a one-ratio call gives.  `pairs`, the
-    `_stack_pairs` of these stacks and weights, may be kept from an earlier call to skip the work no ratio
-    enters.  A one-ratio call without `pairs` writes the placed frames into the stacks given (frames 1..T)
-    and copies nothing; otherwise each trajectory gets new arrays and the stacks stay as they are, to be
-    solved again.  Shapes are made only for the steps handed to `position_step`.
+    The stacks passed `_check_frames`: (T+1, N, 2) for one sequence, whose B parameter sets share one weights
+    vector, N weights, and differ in their ratios; or (B, T+1, N, 2) for B sequences at the one `params` given.
+    The T steps of each block, B T pairs in all, each at its block's ratio, go to one vector Newton: each pair
+    keeps its own active mask and stopping rule, each block's first step its own registration seed, and a pair
+    that misses its bound goes to `position_step` with its block's shapes and ratio, so each trajectory is
+    bitwise the one a one-block call gives.  `pairs`, the `_stack_pairs` of these stacks and weights, may be
+    kept from an earlier call to skip the work no ratio enters.  A call at one ratio without `pairs` writes
+    the placed frames into the stacks given (frames 1..T) and copies nothing; otherwise each trajectory gets
+    new arrays and the stacks stay as they are, to be solved again.  Shapes are made only for the steps handed
+    to `position_step`.
     """
-    weights, count, steps = params[0].weights, len(params), len(verts) - 1
+    weights, steps = params[0].weights, verts.shape[-3] - 1
+    sequences = verts.ndim == 4
+    count = len(verts) if sequences else len(params)
+    # each block's stacks and parameters
+    if sequences:
+        block_verts, block_tangs, block_params = verts, tangs, params * count
+    else:
+        block_verts, block_tangs, block_params = [verts] * count, [tangs] * count, params
     if not steps:
-        return [Trajectory(verts, tangs, np.empty(0), p) for p in params]
-    in_place = pairs is None and count == 1
-    pairs = (_stack_pairs(verts, tangs, weights) if pairs is None else pairs).repeated(count)
+        return [Trajectory(v, t, np.empty(0), p) for v, t, p in zip(block_verts, block_tangs, block_params)]
+    in_place = pairs is None and len(params) == 1
+    pairs = (_stack_pairs(verts, tangs, weights) if pairs is None else pairs).repeated(len(params))
     # one float ratio, or each pair's own: the B ratios, ratio-major
-    eps = params[0].epsilon if count == 1 else np.repeat([p.epsilon for p in params], steps)
+    eps = params[0].epsilon if len(params) == 1 else np.repeat([p.epsilon for p in params], steps)
     equation, accept_tol = _AngleEquation(pairs, eps), pairs.accept_tol
     polish_tol = _POLISH_FACTOR * accept_tol
     theta = np.zeros(count * steps)
-    theta[::steps] = pairs.registration_angle
+    theta[::steps] = pairs.seeds
     g, dg, b = equation(theta)
     active = np.ones(len(theta), dtype=bool)
     # per step, the Newton rules of `_solve_angle`, which this loop must match
@@ -499,30 +514,32 @@ def _integrate_stacks(verts: np.ndarray, tangs: np.ndarray, params: list[Dissipa
         theta, g, dg, b = (np.where(active, new, old) for new, old in ((trial, theta), (g_new, g), (dg_new, dg), (b_new, b)))
     r = np.exp(1j * theta)[:, None]
     placed = SimpleNamespace(vertices=_turn(r, pairs.nxt.vertices, b[:, None]), tangents=_turn(r, pairs.nxt.tangents))
-    ratios = SimpleNamespace(weights=weights, epsilon=eps if count == 1 else eps[:, None])
+    ratios = SimpleNamespace(weights=weights, epsilon=eps if len(params) == 1 else eps[:, None])
     residual, energies = _momentum_and_energy(pairs.prev, placed, ratios)
     accepted = (np.abs(g) <= accept_tol) & (np.linalg.norm(residual, axis=0) <= accept_tol)
     for s in np.flatnonzero(~accepted).tolist():
-        k, t = divmod(s, steps)  # ratio k, step t + 1
-        pair = _shape_views(verts[t:t + 2], tangs[t:t + 2])
+        k, t = divmod(s, steps)  # block k, step t + 1
+        pair = _shape_views(block_verts[k][t:t + 2], block_tangs[k][t:t + 2])
         try:
-            solution = position_step(*pair, params[k], guess=RigidMotion() if t else None)
+            solution = position_step(*pair, block_params[k], guess=RigidMotion() if t else None)
         except NoConvergence as exc:
             exc.args = (f"timestep {t + 1}: {exc}",)  # keeps residual and iterations
             raise
         theta[s], b[s], energies[s] = solution.motion.angle, complex(*solution.motion.translation), solution.energy
-    # per ratio, frame t turns by e^{i (theta_1 + ... + theta_t)} and shifts by the b_k, k <= t, each turned as frame k - 1
+    # per block, frame t turns by e^{i (theta_1 + ... + theta_t)} and shifts by the b_k, k <= t, each turned as frame k - 1
     rotors, shifts = np.exp(1j * np.cumsum(theta.reshape(count, steps), axis=-1)), b.reshape(count, steps)
     shifts[:, 1:] *= rotors[:, :-1]
     rotors, shifts = rotors.reshape(-1, 1), np.cumsum(shifts, axis=-1).reshape(-1, 1)
     moved = _turn(rotors, pairs.nxt.vertices, shifts), _turn(rotors, pairs.nxt.tangents)
     if in_place:
-        verts[1:], tangs[1:] = moved
-        return [Trajectory(verts, tangs, energies, params[0])]
-    frames = np.empty((count,) + verts.shape), np.empty((count,) + tangs.shape)
-    for out, first, rest in zip(frames, (verts[0], tangs[0]), moved):
-        out[:, 0], out[:, 1:] = first, rest.reshape(out[:, 1:].shape)
-    return [Trajectory(v, t, e, p) for v, t, e, p in zip(*frames, energies.reshape(count, steps), params)]
+        for out, rest in zip((verts, tangs), moved):
+            out[..., 1:, :, :] = rest.reshape(out[..., 1:, :, :].shape)
+        frames = (verts, tangs) if sequences else ([verts], [tangs])
+    else:
+        frames = np.empty((count,) + verts.shape[-3:]), np.empty((count,) + tangs.shape[-3:])
+        for out, given, rest in zip(frames, (verts, tangs), moved):
+            out[:, 0], out[:, 1:] = given[..., 0, :, :], rest.reshape(out[:, 1:].shape)
+    return [Trajectory(v, t, e, p) for v, t, e, p in zip(*frames, energies.reshape(count, steps), block_params)]
 
 
 # -- file formats -------------------------------------------------------------

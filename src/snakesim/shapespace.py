@@ -10,6 +10,7 @@ per body length.  A gait is a closed ellipse traced in that plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -115,21 +116,26 @@ def gait_to_shape_sequence(
     return _shape_views(*_cycle_stacks(ellipse, timesteps, edges, body_length))[:-1]
 
 
-def _cycle_stacks(ellipse: GaitEllipse, timesteps: int, edges: int, body_length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Checked (timesteps + 1, edges + 1, 2) vertex and tangent stacks of the closed cycle.
+def _cycle_stacks(gaits: GaitEllipse | list[GaitEllipse], timesteps: int, edges: int, body_length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (timesteps + 1, edges + 1, 2) vertex and tangent stacks of one gait's closed cycle, or
+    (B, timesteps + 1, edges + 1, 2) stacks of a list of B gaits, all built in one array pass.
 
     Frames 0..timesteps-1 are the shapes of `gait_to_shape_sequence`, and the
     last frame is a copy of frame 0, which closes the cycle.
     """
     _check_discretization(timesteps, edges, body_length)
+    if not isinstance(gaits, GaitEllipse):  # each parameter as a (B, 1, 1) column: a gait's samples fill its own rows
+        columns = np.array([[getattr(gait, key) for gait in gaits] for key in GAIT_KEYS])[..., None, None]
+        gaits = SimpleNamespace(**dict(zip(GAIT_KEYS, columns)))
     stations = np.arange(edges) / edges
-    points = sample_gait(ellipse, np.arange(timesteps) / timesteps)
-    # (timesteps, edges) curvature: one row of station samples per timestep
-    column = SerpenoidPoint(points.w1[:, None], points.w2[:, None])
-    kappa = serpenoid_curvature(column, ellipse.xi, stations)
+    points = sample_gait(gaits, (np.arange(timesteps) / timesteps)[:, None])
+    # (..., timesteps, edges) curvature: one row of station samples per timestep
+    kappa = serpenoid_curvature(points, gaits.xi, stations)
     verts = vertices_from_curvature(kappa, body_length)
-    verts = np.concatenate((verts, verts[:1]))
-    return _check_frames(verts, tangents_from_vertices(verts), stacked=True)
+    verts = np.concatenate((verts, verts[..., :1, :, :]), axis=-3)
+    flat = verts.reshape((-1,) + verts.shape[-2:])
+    flat, tangs = _check_frames(flat, tangents_from_vertices(flat), stacked=True)
+    return flat.reshape(verts.shape), tangs.reshape(verts.shape)
 
 
 # -- file formats -------------------------------------------------------------

@@ -332,17 +332,18 @@ class TestOptimize:
     def test_solver_failure_keeps_report_and_exits_3(self, tmp_path, capsys, monkeypatch):
         import snakesim.optimize as opt
 
+        # the 6th gait to be evaluated fails, in the starting batch and again when it is evaluated alone
         fail_at = 6
         calls = []
-        evaluate = opt.evaluate_gait
+        evaluate = opt.evaluate_gaits
 
-        def fails_late(gait, cfg):
-            calls.append(gait)
-            if len(calls) == fail_at:
+        def fails_late(gaits, cfg):
+            calls.extend(gait for gait in gaits if gait not in calls)
+            if any(calls.index(gait) == fail_at - 1 for gait in gaits):
                 raise NoConvergence("timestep 4: synthetic stall")
-            return evaluate(gait, cfg)
+            return evaluate(gaits, cfg)
 
-        monkeypatch.setattr(opt, "evaluate_gait", fails_late)
+        monkeypatch.setattr(opt, "evaluate_gaits", fails_late)
         out = tmp_path / "run"
         code, _, err = run(
             capsys, "optimize", "--seed", "3", "--timesteps", "10", "--edges", "5",
@@ -351,20 +352,20 @@ class TestOptimize:
         assert code == 3
         assert "solver failed" in err
         history = read_report_csv(out / "report.csv")
-        assert [rec.gait for rec in history] == calls[:-1]
+        assert [rec.gait for rec in history] == calls[:fail_at - 1]
         assert not (out / "gait_optimized.txt").exists()
 
     def test_seed_is_simulated_once(self, tmp_path, capsys, monkeypatch):
         import snakesim.optimize as opt
 
         calls = []
-        evaluate = opt.evaluate_gait
+        evaluate = opt.evaluate_gaits
 
-        def counted(gait, cfg):
-            calls.append(gait)
-            return evaluate(gait, cfg)
+        def counted(gaits, cfg):
+            calls.extend(gaits)
+            return evaluate(gaits, cfg)
 
-        monkeypatch.setattr(opt, "evaluate_gait", counted)
+        monkeypatch.setattr(opt, "evaluate_gaits", counted)
         out = tmp_path / "run"
         code, stdout, _ = run(
             capsys, "optimize", "--seed", "3", "--timesteps", "10", "--edges", "5",
@@ -404,14 +405,14 @@ class TestOptimize:
         import snakesim.cli as cli
         import snakesim.optimize as opt
 
-        # every evaluate_gait call makes one forward solve, `_integrate_stacks`
-        # looked up in the optimize module, so this counts evaluate_gait calls under any name
+        # every evaluation is solved by `_integrate_stacks`, looked up in the optimize module, as one
+        # (T+1, N, 2) sequence or as one of the (B, T+1, N, 2) sequences of a batch: this counts solved gaits
         solves, recorded = [], []
         solve, search = opt._integrate_stacks, cli.optimize_gait
 
-        def counted_solve(*args):
-            solves.append(args)
-            return solve(*args)
+        def counted_solve(verts, *args):
+            solves.extend([verts] if verts.ndim == 3 else verts)
+            return solve(verts, *args)
 
         def counted_search(*args, **kwargs):
             best, history = search(*args, **kwargs)

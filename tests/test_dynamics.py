@@ -76,7 +76,7 @@ def angle_equation(prev, nxt, params):
 def registration_angle(prev, nxt, params):
     from snakesim.dynamics import _StepPairs
 
-    return _StepPairs(prev, nxt, params.weights).registration_angle
+    return _StepPairs(prev, nxt, params.weights).registration_angle()
 
 
 def integer_frames(rng, count=6, num_vertices=7):
@@ -863,6 +863,75 @@ class TestRatioAxis:
         (traj,) = dyn._integrate_stacks(verts, tangs, [DissipationParams(np.full(12, 0.115), 0.3)])
         assert traj.vertices is verts and traj.tangents is tangs
         assert np.array_equal(verts[0], first)
+
+
+class TestSequenceAxis:
+    """`_integrate_stacks` on (B, T+1, N, 2) stacks of B sequences at one ratio, against one-sequence solves."""
+
+    WEIGHTS = DissipationParams.uniform(1.38, 12, 0.5).weights
+
+    def assert_bitwise(self, gaits, timesteps, epsilon=0.1865):
+        from snakesim.shapespace import _cycle_stacks
+
+        params = DissipationParams(self.WEIGHTS, epsilon)
+        expected = [dyn._integrate_stacks(*_cycle_stacks(gait, timesteps, 11, 0.92), [params])[0] for gait in gaits]
+        verts, tangs = _cycle_stacks(list(gaits), timesteps, 11, 0.92)
+        before = verts.copy(), tangs.copy()
+        kept = dyn._integrate_stacks(verts, tangs, [params], dyn._stack_pairs(verts, tangs, self.WEIGHTS))
+        # prepared pairs: the stacks are left as they were; without them the placed frames are written into them
+        assert np.array_equal(verts, before[0]) and np.array_equal(tangs, before[1])
+        found = dyn._integrate_stacks(verts, tangs, [params])
+        assert len(kept) == len(found) == len(gaits)
+        for b, (one, *many) in enumerate(zip(expected, kept, found)):
+            assert np.shares_memory(many[1].vertices, verts[b]) and np.shares_memory(many[1].tangents, tangs[b])
+            for traj in many:
+                assert traj.params is params
+                for name in ("vertices", "tangents", "step_energies"):
+                    assert getattr(traj, name).tobytes() == getattr(one, name).tobytes(), (b, name)
+
+    @pytest.mark.parametrize("timesteps", [4, 50])
+    def test_bitwise_one_sequence_solves_in_batches_of_seven(self, timesteps):
+        from snakesim.optimize import random_gait
+
+        gaits = [random_gait(seed) for seed in range(40)]
+        for start in range(0, len(gaits), 7):
+            self.assert_bitwise(gaits[start:start + 7], timesteps)
+
+    @pytest.mark.parametrize("timesteps", [4, 50])
+    def test_fallback_steps_inside_a_block(self, timesteps, monkeypatch):
+        # COARSE_GAIT mid-batch: in 4 timesteps some of its steps go to position_step, in 50 none do
+        from snakesim.optimize import random_gait
+
+        handed_over = []
+        original = dyn.position_step
+
+        def counted(prev, nxt, params, guess=None):
+            handed_over.append((prev.vertices.tobytes(), nxt.vertices.tobytes(), guess))
+            return original(prev, nxt, params, guess=guess)
+
+        monkeypatch.setattr(dyn, "position_step", counted)
+        gaits = [random_gait(0), random_gait(1), COARSE_GAIT, random_gait(2), random_gait(3)]
+        self.assert_bitwise(gaits, timesteps)
+        # one-sequence solves, then the kept-pairs and the in-place batch: each hands over the same steps
+        third = len(handed_over) // 3
+        assert len(handed_over) == 3 * third
+        assert sorted(map(repr, handed_over[third:2 * third])) == sorted(map(repr, handed_over[:third]))
+        assert (third > 0) == (timesteps == 4)
+
+    def test_batch_of_one(self):
+        from snakesim.optimize import random_gait
+
+        self.assert_bitwise([random_gait(7)], 50)
+        self.assert_bitwise([COARSE_GAIT], 4)
+
+    def test_no_steps(self):
+        params = DissipationParams(self.WEIGHTS, 0.3)
+        verts = np.zeros((3, 1, 12, 2))
+        verts[..., 0] = np.linspace(0.0, 1.0, 12)
+        tangs = np.zeros_like(verts)
+        tangs[..., 0] = 1.0
+        found = dyn._integrate_stacks(verts, tangs, [params])
+        assert len(found) == 3 and all(traj.step_energies.shape == (0,) for traj in found)
 
 
 class TestHoistedSums:

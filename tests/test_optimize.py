@@ -18,6 +18,7 @@ from snakesim.optimize import (
     ObjectiveConfig,
     SimConfig,
     evaluate_gait,
+    evaluate_gaits,
     gait_loss,
     net_displacement,
     optimize_gait,
@@ -207,13 +208,12 @@ class TestObjectiveConfigValidation:
 
 
 def quadratic_surrogate(minimum):
-    """A stand-in objective with a known unique minimizer (no simulation)."""
+    """A stand-in for `evaluate_gaits` with a known unique minimizer (no simulation)."""
     target = np.array([getattr(minimum, n) for n in ("sigma", "xc", "yc", "theta", "a", "xi")])
 
-    def fake_evaluate(gait, cfg):
-        v = np.array([getattr(gait, n) for n in ("sigma", "xc", "yc", "theta", "a", "xi")])
-        loss = float(np.sum((v - target) ** 2))
-        return loss, 0.0, 0.0
+    def fake_evaluate(gaits, cfg):
+        vectors = [np.array([getattr(gait, n) for n in ("sigma", "xc", "yc", "theta", "a", "xi")]) for gait in gaits]
+        return [(float(np.sum((v - target) ** 2)), 0.0, 0.0) for v in vectors]
 
     return fake_evaluate
 
@@ -223,7 +223,7 @@ class TestOptimizeGait:
         import snakesim.optimize as opt
 
         seed = GaitEllipse(0.6, 0.0, 0.0, 1.5, 4.0, 1.2)
-        monkeypatch.setattr(opt, "evaluate_gait", quadratic_surrogate(seed))
+        monkeypatch.setattr(opt, "evaluate_gaits", quadratic_surrogate(seed))
         best, history = opt.optimize_gait(seed, DEFAULT_BOUNDS, small_cfg())
         for name in ("sigma", "xc", "yc", "theta", "a", "xi"):
             assert abs(getattr(best, name) - getattr(seed, name)) <= 1e-3
@@ -233,7 +233,7 @@ class TestOptimizeGait:
 
         seed = GaitEllipse(0.6, 0.0, 0.0, 1.5, 4.0, 1.2)
         target = GaitEllipse(0.45, 1.0, -1.0, 2.0, 5.5, 0.9)
-        monkeypatch.setattr(opt, "evaluate_gait", quadratic_surrogate(target))
+        monkeypatch.setattr(opt, "evaluate_gaits", quadratic_surrogate(target))
         best, history = opt.optimize_gait(seed, DEFAULT_BOUNDS, small_cfg())
         lo, hi = DEFAULT_BOUNDS.as_arrays()
         v_best = np.array([getattr(best, n) for n in ("sigma", "xc", "yc", "theta", "a", "xi")])
@@ -265,7 +265,7 @@ class TestOptimizeGait:
         def fail(*args):
             raise AssertionError("simulated despite an empty budget")
 
-        monkeypatch.setattr("snakesim.optimize.evaluate_gait", fail)
+        monkeypatch.setattr("snakesim.optimize.evaluate_gaits", fail)
         with pytest.raises(InvalidParameter, match="max_evaluations"):
             optimize_gait(random_gait(5), DEFAULT_BOUNDS, small_cfg(), max_evaluations=budget)
 
@@ -305,10 +305,10 @@ class TestOptimizeGait:
     def test_non_finite_loss_aborts_with_gait(self, monkeypatch):
         import snakesim.optimize as opt
 
-        def bad_evaluate(gait, cfg):
-            return float("nan"), 0.0, 0.0
+        def bad_evaluate(gaits, cfg):
+            return [(float("nan"), 0.0, 0.0)] * len(gaits)
 
-        monkeypatch.setattr(opt, "evaluate_gait", bad_evaluate)
+        monkeypatch.setattr(opt, "evaluate_gaits", bad_evaluate)
         with pytest.raises(NonFiniteLoss) as info:
             opt.optimize_gait(random_gait(5), DEFAULT_BOUNDS, small_cfg())
         assert info.value.gait is not None
@@ -323,23 +323,168 @@ class TestOptimizeGait:
     def test_solver_failure_keeps_history(self, monkeypatch, failure):
         import snakesim.optimize as opt
 
+        # the 6th gait to be evaluated fails, in the starting batch and again when it is evaluated alone
         fail_at = 6
         calls = []
 
-        def fails_late(gait, cfg):
-            calls.append(gait)
-            if len(calls) == fail_at:
+        def fails_late(gaits, cfg):
+            calls.extend(gait for gait in gaits if gait not in calls)
+            if any(calls.index(gait) == fail_at - 1 for gait in gaits):
                 raise failure("timestep 4: synthetic stall")
-            return evaluate_gait(gait, cfg)
+            return evaluate_gaits(gaits, cfg)
 
-        monkeypatch.setattr(opt, "evaluate_gait", fails_late)
+        monkeypatch.setattr(opt, "evaluate_gaits", fails_late)
         with pytest.raises(failure) as info:
             opt.optimize_gait(random_gait(5), DEFAULT_BOUNDS, small_cfg())
         history = info.value.history
         assert [rec.iteration for rec in history] == list(range(fail_at - 1))
-        assert [rec.gait for rec in history] == calls[:-1]
+        assert [rec.gait for rec in history] == calls[:fail_at - 1]
         for rec in history:
             assert (rec.loss, rec.displacement, rec.energy) == evaluate_gait(rec.gait, small_cfg())
+
+
+def one_gait_objective(gait, cfg):
+    """(loss, displacement, energy) of one gait from its own forward solve: the reference for the batched search."""
+    from snakesim.dynamics import _integrate_stacks, total_energy
+    from snakesim.optimize import _repeat_cycle
+    from snakesim.shapespace import _cycle_stacks
+
+    if cfg.fixed_xi is not None:
+        gait = gait.with_xi(cfg.fixed_xi)
+    sim = cfg.sim
+    traj = _repeat_cycle(_integrate_stacks(*_cycle_stacks(gait, sim.timesteps, sim.edges, sim.body_length), [cfg.params])[0], sim.cycles)
+    displacement, energy = traj.net_displacement, total_energy(traj)
+    return -displacement + cfg.dissipation_coefficient * energy, displacement, energy
+
+
+def reference_search(seed_gait, bounds, cfg, budget):
+    """`optimize_gait`'s Nelder-Mead with `one_gait_objective` called at every point scipy asks for, one at a time."""
+    from scipy.optimize import minimize
+
+    keys = ("sigma", "xc", "yc", "theta", "a", "xi")
+    lo, hi = bounds.as_arrays()
+    x_seed = np.clip([getattr(seed_gait, n) for n in keys], lo, hi)
+    free = hi > lo
+    if cfg.fixed_xi is not None:
+        x_seed[5], free[5] = cfg.fixed_xi, False
+    records = []
+
+    def objective(u):
+        x = x_seed.copy()
+        x[free] = lo[free] + np.clip(u, 0.0, 1.0) * (hi - lo)[free]
+        gait = GaitEllipse(*(float(v) for v in x))
+        loss, displacement, energy = one_gait_objective(gait, cfg)
+        records.append((loss, displacement, energy, gait))
+        return loss
+
+    u0 = (x_seed[free] - lo[free]) / (hi - lo)[free]
+    if not free.any():
+        objective(u0)
+        return records
+    simplex = [u0]
+    for i in range(len(u0)):
+        vertex = u0.copy()
+        vertex[i] += 0.1 if vertex[i] + 0.1 <= 1.0 else -0.1
+        simplex.append(vertex)
+    options = {"initial_simplex": np.array(simplex), "xatol": 1e-4, "fatol": np.inf, "maxfev": budget, "disp": False}
+    minimize(objective, u0, method="Nelder-Mead", options=options)
+    return records
+
+
+class TestSearchHistories:
+    """The search solves its starting simplex in one batch; its histories are bitwise those of `reference_search`."""
+
+    @staticmethod
+    def batch_sizes(monkeypatch):
+        import snakesim.optimize as opt
+
+        sizes, solve = [], opt.evaluate_gaits
+
+        def counted(gaits, cfg):
+            sizes.append(len(gaits))
+            return solve(gaits, cfg)
+
+        monkeypatch.setattr(opt, "evaluate_gaits", counted)
+        return sizes
+
+    def assert_matches_reference(self, seed_gait, bounds, cfg, budget, monkeypatch, simplex_size):
+        expected = reference_search(seed_gait, bounds, cfg, budget)
+        sizes = self.batch_sizes(monkeypatch)
+        _, history = optimize_gait(seed_gait, bounds, cfg, max_evaluations=budget)
+        assert [(rec.loss, rec.displacement, rec.energy, rec.gait) for rec in history] == expected
+        assert [rec.iteration for rec in history] == list(range(len(history)))
+        # the starting vertices in one call, every later point alone
+        assert sizes == [min(simplex_size, budget)] + [1] * (len(history) - min(simplex_size, budget))
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 6, 7, 8, 20])
+    def test_budgets_around_the_simplex(self, budget, monkeypatch):
+        for seed, c in ((3, 0.0), (8, 2.5)):
+            self.assert_matches_reference(random_gait(seed), DEFAULT_BOUNDS, small_cfg(c=c), budget, monkeypatch, 7)
+
+    @pytest.mark.parametrize("budget", [5, 6, 7, 20])
+    def test_pinned_frequency_gives_six_vertices(self, budget, monkeypatch):
+        self.assert_matches_reference(random_gait(4), DEFAULT_BOUNDS, small_cfg(fixed_xi=1.25), budget, monkeypatch, 6)
+
+    def test_degenerate_bounds_one_evaluation(self, monkeypatch):
+        point = GaitEllipse(0.7, 0.1, -0.2, 1.0, 3.0, 1.5)
+        bounds = GaitBounds(*((value, value) for value in (0.7, 0.1, -0.2, 1.0, 3.0, 1.5)))
+        self.assert_matches_reference(point, bounds, small_cfg(), 20, monkeypatch, 1)
+
+    def test_a_point_out_of_order_is_evaluated_itself(self, monkeypatch):
+        # a Nelder-Mead that scores the starting vertices last to first: only the vertex asked for
+        # in the batch's order (here the seed, last) may take a stored result
+        import scipy.optimize
+
+        def reversed_start(fun, x0, method, options):
+            for vertex in options["initial_simplex"][::-1]:
+                fun(vertex.copy())
+
+        monkeypatch.setattr(scipy.optimize, "minimize", reversed_start)
+        sizes = self.batch_sizes(monkeypatch)
+        cfg = small_cfg(c=2.5)
+        _, history = optimize_gait(random_gait(2), DEFAULT_BOUNDS, cfg, max_evaluations=20)
+        assert sizes == [7] + [1] * 6 and history[-1].gait == random_gait(2)
+        for rec in history:
+            assert (rec.loss, rec.displacement, rec.energy) == one_gait_objective(rec.gait, cfg)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_failure_at_a_simplex_gait_keeps_the_records_before_it(self, k, monkeypatch):
+        import snakesim.optimize as opt
+
+        solve, simplex = opt.evaluate_gaits, []
+
+        def fails_at_k(gaits, cfg):
+            simplex.extend(gaits if not simplex else [])  # the first call is the starting batch
+            if simplex[k - 1] in gaits:
+                raise NoConvergence("timestep 2: synthetic stall")
+            return solve(gaits, cfg)
+
+        monkeypatch.setattr(opt, "evaluate_gaits", fails_at_k)
+        with pytest.raises(NoConvergence) as info:
+            optimize_gait(random_gait(6), DEFAULT_BOUNDS, small_cfg(), max_evaluations=20)
+        history = info.value.history
+        assert len(simplex) == 7
+        assert [rec.gait for rec in history] == simplex[:k - 1]
+        assert [rec.iteration for rec in history] == list(range(k - 1))
+        for rec in history:
+            assert (rec.loss, rec.displacement, rec.energy) == one_gait_objective(rec.gait, small_cfg())
+
+    def test_non_finite_loss_raises_at_its_vertex(self, monkeypatch):
+        import snakesim.optimize as opt
+
+        solve, simplex = opt.evaluate_gaits, []
+
+        def third_is_nan(gaits, cfg):
+            simplex.extend(gaits if not simplex else [])
+            return [(float("nan"), 0.0, 0.0) if gait == simplex[2] else result for gait, result in zip(gaits, solve(gaits, cfg))]
+
+        monkeypatch.setattr(opt, "evaluate_gaits", third_is_nan)
+        history = []
+        monkeypatch.setattr(opt, "EvaluationRecord", lambda *fields: history.append(fields) or EvaluationRecord(*fields))
+        with pytest.raises(NonFiniteLoss) as info:
+            optimize_gait(random_gait(6), DEFAULT_BOUNDS, small_cfg(), max_evaluations=20)
+        assert info.value.gait == simplex[2]
+        assert [fields[-1] for fields in history] == simplex[:2]
 
 
 class TestSimulateGait:

@@ -114,6 +114,18 @@ class TestGaitToShapeSequence:
             assert np.array_equal(vertices, np.array([shape.vertices for shape in cycle + [cycle[0]]]))
             assert np.array_equal(tangents, np.array([shape.tangents for shape in cycle + [cycle[0]]]))
 
+    def test_cycle_stacks_of_a_list_are_each_gaits_stacks(self):
+        from snakesim.optimize import random_gait
+        from snakesim.shapespace import _cycle_stacks
+
+        for timesteps, edges, length in [(50, 11, 0.92), (7, 3, 1.3), (4, 11, 0.92)]:
+            gaits = [random_gait(seed) for seed in range(9)]
+            vertices, tangents = _cycle_stacks(gaits, timesteps, edges, length)
+            assert vertices.shape == tangents.shape == (9, timesteps + 1, edges + 1, 2)
+            for gait, verts, tangs in zip(gaits, vertices, tangents):
+                one = _cycle_stacks(gait, timesteps, edges, length)
+                assert verts.tobytes() == one[0].tobytes() and tangs.tobytes() == one[1].tobytes()
+
     def test_zero_coefficients_all_timesteps_identical(self):
         e = GaitEllipse(sigma=1.0, xc=0.0, yc=0.0, theta=0.0, a=1e-14, xi=1.0)
         shapes = gait_to_shape_sequence(e, timesteps=7, edges=5, body_length=1.0)
