@@ -113,8 +113,9 @@ class AnisotropyFit:
 def extract_shapes(mocap: MocapTrajectory, target_steps: int | None = None) -> list[PositionedShape]:
     """Turn marker frames into positioned shapes (markers become vertices).
 
-    With `target_steps` the frames are uniformly downsampled to that count,
-    always keeping the first and last frame.
+    With `target_steps` the frames are uniformly downsampled to that count:
+    the first and last frame are kept when it is 2 or more, and the first
+    frame alone when it is 1.
     """
     if target_steps is not None and not (isinstance(target_steps, (int, np.integer)) and target_steps >= 1):
         raise InvalidParameter(f"target_steps must be an integer of at least 1, got {target_steps!r}")
@@ -126,7 +127,7 @@ def extract_shapes(mocap: MocapTrajectory, target_steps: int | None = None) -> l
 
 
 def _marker_stacks(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checked (T, N, 2) vertex and tangent stacks of marker frames; the vertices are a copy, free to overwrite."""
+    """Checked (T, N, 2) vertex and tangent stacks of marker frames; the vertices are a copy, not a view of the recording."""
     if frames.shape[1] < 2:
         raise ShapeMismatch("need at least 2 markers per frame")
     verts = np.array(frames)
@@ -137,7 +138,8 @@ def resimulate(mocap: MocapTrajectory, params: DissipationParams) -> Trajectory:
     """Re-integrate the executed shape sequence from the first measured pose."""
     if len(params.weights) != mocap.num_markers:
         raise ShapeMismatch(f"{len(params.weights)} weights for {mocap.num_markers} markers")
-    return _integrate_stacks(*_marker_stacks(mocap.frames), [params])[0]
+    verts, tangs = _marker_stacks(mocap.frames)
+    return _integrate_stacks(verts[None], tangs[None], [params])[0]
 
 
 def com_curve(source, weights, times=None) -> ComCurve:
@@ -174,7 +176,7 @@ def rms_error(a: ComCurve, b: ComCurve) -> float:
 def _evaluate(recording, epsilons):
     """((epsilon, rms, final displacement), resimulated CoM curve) for each ratio, all solved at once.
 
-    `recording` holds the marker stacks, the weights, their `_stack_pairs` and the measured CoM curve.
+    `recording` holds the (1, T, N, 2) marker stacks, the weights, their `_stack_pairs` and the measured CoM curve.
     """
     params = [DissipationParams(recording.weights, epsilon) for epsilon in epsilons]
     trajectories = _integrate_stacks(recording.verts, recording.tangs, params, recording.pairs)
@@ -211,6 +213,7 @@ def fit_anisotropy(
     verts, tangs = _marker_stacks(exp_mocap.frames)  # the same executed shapes for every ratio
     if len(verts) < 2:
         raise EmptyInput(f"need at least 2 frames to fit the anisotropy ratio, got {len(verts)}")
+    verts, tangs = verts[None], tangs[None]
     recording = SimpleNamespace(verts=verts, tangs=tangs, weights=w, pairs=_stack_pairs(verts, tangs, w), curve=exp_curve)
 
     history, curves = [], []

@@ -36,6 +36,7 @@ from .errors import InvalidParameter, NoConvergence, SnakesimError
 from .optimize import (
     DEFAULT_BOUNDS,
     DISSIPATION_COEFFICIENT_GRID,
+    MAX_EVALUATIONS,
     ObjectiveConfig,
     SimConfig,
     optimize_gait,
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subcommand("optimize", "optimize a gait (random seed or gait file)",
                    *simulation, "seed", "c", "fixed_xi", "jobs")
     p.add_argument("gait_file", nargs="?", help="seed gait file; omitted = random from --seed")
-    p.add_argument("--max-evals", type=int, default=500, help="objective evaluation budget")
+    p.add_argument("--max-evals", type=int, default=MAX_EVALUATIONS, help="objective evaluation budget")
     p.add_argument("--c-sweep", action="store_true",
                    help="optimize once per c in DISSIPATION_COEFFICIENT_GRID; writes c_sweep.csv")
 

@@ -14,21 +14,21 @@ The step path reads the stored (N, 2) vertex and tangent arrays as x + iy
 with e^{i theta}, and the momentum is the 3-vector (rotational, x, y).  The
 reference residual that accepts every step and the step's energy come from
 one pass, `_momentum_and_energy`.  A non-finite residual never counts as converged.
-It and `_AngleEquation` also take (T, N, 2) stacks of step pairs, whose roots are independent under rigid
-motions, with one ratio or each pair at its own.  The lockstep core, `_integrate_stacks`, solves the T steps of
-a sequence at B ratios, or of B sequences at one ratio, in one vector Newton over the B T pairs.  What no ratio
-enters (`_StepPairs`, the tangent sums among it) is prepared once and may be kept, so a ratio costs one scale of
-those sums by (eps - 1) / 2.  Calibration (`integrate_shape_sequence`, `resimulate`, and `fit_anisotropy`'s whole
-ratio grid in one call) and the gait search's objective (`optimize.evaluate_gaits`, on the frame stacks of a list
-of gait cycles directly, the search's starting simplex in one call) solve this way, while
-`simulate_gait` still makes one `position_step` per step, because the benchmark's `sweep` check counts those calls.
+It and `_AngleEquation` also take stacks of step pairs, whose roots are independent under rigid motions.
+The lockstep core, `_integrate_stacks`, takes one layout: (S, T+1, N, 2) frame stacks of S sequences and B
+ratios, with S = 1 or B = 1, all of whose steps it solves in one vector Newton.  What no ratio enters
+(`_StepPairs`, the tangent sums among it) is prepared once and may be kept.  B ratios enter as a (B, 1) column
+that scales those sums by (eps - 1) / 2, and no pair is copied per ratio.  Calibration
+(`integrate_shape_sequence`, `resimulate`, and `fit_anisotropy`'s whole ratio grid in one call) and the gait
+search's objective (`optimize.evaluate_gaits`, on the frame stacks of a list of gait cycles directly, the search's
+starting simplex in one call) solve this way, while `simulate_gait` still makes one `position_step` per step,
+because the benchmark's `sweep` check counts those calls.
 A `Trajectory` holds its frames as (T+1, N, 2) vertex and tangent stacks, checked
 once, and derives `PositionedShape` objects only for callers that ask for them.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -158,8 +158,8 @@ def _momentum_and_energy(prev, nxt, params: DissipationParams):
     On the vertices p, q as x + iy, d = q - p and D d = w (d + (eps - 1) (t . d) t) for either
     shape's tangents t, unit or not: rot = -1/2 Im(vdot(q, D_prev d) + vdot(p, D_next d)),
     xy = -1/4 sum((D_prev + D_next) d) and energy = 1/4 Re vdot((D_prev + D_next) d, d).
-    Sums run over the last axis, so (T, N, 2) stacks of step pairs give a (3, T) momentum and (T,) energies;
-    their ratio may be one float or a (T, 1) array, one per pair.
+    Sums run over the last axis, so (..., N, 2) stacks of step pairs give a (3, ...) momentum and (...) energies;
+    their ratio may be one float or an array that broadcasts against them, such as a (B, 1, 1) column of B ratios.
     """
     w, eps = params.weights, params.epsilon
     p, q = complex_view(prev.vertices), complex_view(nxt.vertices)
@@ -184,8 +184,10 @@ class _StepPairs:
     """Step pairs under per-vertex weights, with the parts of their angle equations that no ratio enters.
 
     `prev` and `nxt` are one pair of (N, 2) shapes, or (T, N, 2) stacks holding the T pairs (prev[t], nxt[t]).
-    Made once, they serve `_AngleEquation` at any ratio: the centroids, the tangent sums without their
-    factor (eps - 1) / 2, the sum behind P1, each step's acceptance bound and the registration angle.
+    Made once, they serve `_AngleEquation` at any ratio, or at a column of ratios: the centroids, the tangent
+    sums without their factor (eps - 1) / 2, the sum behind P1, each step's acceptance bound and the
+    registration angle.  The sums of T pairs are (18, 1, T), so that a (B, 1) column of ratios scales them into
+    (18, B, T) values without copying a pair.
     """
 
     def __init__(self, prev, nxt, weights: np.ndarray):
@@ -194,7 +196,7 @@ class _StepPairs:
         p, v = complex_view(prev.vertices), complex_view(nxt.vertices)
         self.bars = np.array([p, v]) @ weights / total
         # the pairwise products of the columns 1, conj(V), conj(P), weighted by w s^2 (prev tangents) and w u^2
-        # (next tangents): every tangent sum but its factor (eps - 1) / 2, row by row, (18,) or (18, T) one column a pair
+        # (next tangents): every tangent sum but its factor (eps - 1) / 2, row by row, (18,) or (18, 1, T) one column a pair
         self.cols = cols = np.empty(p.shape + (3,), dtype=complex)
         cols[..., 0] = 1.0
         np.conjugate(v - self.bars[1, ..., None], out=cols[..., 1])
@@ -202,7 +204,7 @@ class _StepPairs:
         t2 = np.array([complex_view(prev.tangents), complex_view(nxt.tangents)])
         t2 *= t2
         sums = (t2[..., None, :] * weights * cols.swapaxes(-1, -2)) @ cols
-        self.sums = sums.reshape(18) if p.ndim == 1 else sums.transpose(0, 2, 3, 1).reshape(18, -1)
+        self.sums = sums.reshape(18) if p.ndim == 1 else sums.transpose(0, 2, 3, 1).reshape(18, 1, -1)
         self.p1_sum = (cols[..., 2].conjugate() * weights * cols[..., 1]).sum(axis=-1)  # sum(w conj(V) P)
         self.accept_tol = _acceptance_bound(nxt.vertices, total)
 
@@ -220,22 +222,6 @@ class _StepPairs:
         dot = float(self.weights @ (v.real * p.real + v.imag * p.imag))
         return math.atan2(cross, dot) if cross or dot else 0.0
 
-    def repeated(self, count: int) -> "_StepPairs":
-        """The T stacked pairs `count` times over, count T pairs in all: each value is copied, not recomputed."""
-        if count == 1:
-            return self
-        tiled = copy.copy(self)  # keeps the weights, the total and any seeds
-
-        def tile(values, axis=0):
-            return np.concatenate([values] * count, axis=axis)
-
-        tiled.prev, tiled.nxt = (
-            SimpleNamespace(vertices=tile(half.vertices), tangents=tile(half.tangents)) for half in (self.prev, self.nxt)
-        )
-        tiled.bars, tiled.sums = tile(self.bars, 1), tile(self.sums, -1)
-        tiled.p1_sum, tiled.accept_tol = tile(self.p1_sum), tile(self.accept_tol)
-        return tiled
-
 
 class _AngleEquation:
     """The step momentum as one equation g(angle) = 0.
@@ -252,19 +238,23 @@ class _AngleEquation:
     on the origin: g(theta) is the momentum's rotational component.  Ten tangent
     sums from the `_StepPairs`, scaled here by (eps - 1) / 2, with P1 and 2 B,
     make each evaluation a few dozen scalar operations, on Python numbers for
-    one pair and on (T,) arrays for T stacked pairs.  The ratio is one float, or
-    for stacked pairs a (T,) array, each pair at its own ratio: every element
+    one pair and on (T,) arrays for T stacked pairs at one float ratio.  For
+    stacked pairs the ratio may also be a (B, 1) column of B ratios, which
+    scales the sums and P1 into (B, T) values without copying a pair; every
+    value is then read flat, (B T,) ratio-major, at (B T,) angles.  Every element
     goes through the operations a float ratio would take it through, so a pair's
     values are bitwise the same either way.
     """
 
     def __init__(self, pairs: _StepPairs, epsilon):
-        sums = 0.5 * (epsilon - 1.0) * pairs.sums  # (eps - 1) / 2: one float, or one per pair on the last axis
+        sums = 0.5 * (epsilon - 1.0) * pairs.sums  # (eps - 1) / 2: one float, or a (B, 1) column of B ratios
         p1 = 0.5 * (1.0 + epsilon) * pairs.p1_sum
         if sums.ndim == 1:
             sums, (self.p_bar, self.v_bar), self.p1 = sums.tolist(), pairs.bars.tolist(), complex(p1)
-        else:
-            (self.p_bar, self.v_bar), self.p1 = pairs.bars, p1
+        else:  # the scaled (18, 1, T) sums, read flat: at a (B, 1) column of B ratios every value is (B, T), ratio-major
+            sums, (self.p_bar, self.v_bar), self.p1 = sums.reshape(18, -1), pairs.bars, p1.reshape(-1)
+            if p1.ndim > 1:
+                (self.p_bar, self.v_bar), epsilon = np.concatenate([pairs.bars] * len(p1), axis=1), np.repeat(epsilon, p1.shape[1])
         (self.s2, self.s2v, self.s2p, _, self.s2vv, self.s2vp, _, _, _,
          self.u2, self.u2v, self.u2p, _, _, _, _, self.u2pv, self.u2pp) = sums
         self.two_b = pairs.total * (1.0 + epsilon)
@@ -454,52 +444,48 @@ def integrate_shape_sequence(shapes: list[PositionedShape], params: DissipationP
         raise ShapeMismatch(f"need one or more shapes of {len(params.weights)} vertices, one per weight")
     verts = np.array([shape.vertices for shape in shapes])
     tangs = np.array([shape.tangents for shape in shapes])
-    return _integrate_stacks(verts, tangs, [params])[0]
+    return _integrate_stacks(verts[None], tangs[None], [params])[0]
 
 
 def _stack_pairs(verts: np.ndarray, tangs: np.ndarray, weights: np.ndarray) -> _StepPairs:
-    """The steps, frame t to frame t + 1, of (T+1, N, 2) vertex and tangent stacks, or sequence by sequence of
-    (B, T+1, N, 2) ones, as `_StepPairs`, with each sequence's step-1 seed, its first pair's registration angle."""
-    shape, steps = (-1,) + verts.shape[-2:], verts.shape[-3] - 1
-    prev = SimpleNamespace(vertices=verts[..., :-1, :, :].reshape(shape), tangents=tangs[..., :-1, :, :].reshape(shape))
-    nxt = SimpleNamespace(vertices=verts[..., 1:, :, :].reshape(shape), tangents=tangs[..., 1:, :, :].reshape(shape))
+    """The S T steps, frame t to frame t + 1, of (S, T+1, N, 2) vertex and tangent stacks as one `_StepPairs`,
+    sequence by sequence, with each sequence's step-1 seed: the registration angle of its first pair."""
+    shape, steps = (-1,) + verts.shape[2:], verts.shape[1] - 1
+    prev = SimpleNamespace(vertices=verts[:, :-1].reshape(shape), tangents=tangs[:, :-1].reshape(shape))
+    nxt = SimpleNamespace(vertices=verts[:, 1:].reshape(shape), tangents=tangs[:, 1:].reshape(shape))
     pairs = _StepPairs(prev, nxt, weights)
     pairs.seeds = [pairs.registration_angle(t) for t in range(0, len(pairs.accept_tol), steps or 1)]
     return pairs
 
 
 def _integrate_stacks(verts: np.ndarray, tangs: np.ndarray, params: list[DissipationParams], pairs: _StepPairs | None = None) -> list[Trajectory]:
-    """`integrate_shape_sequence` in blocks: one sequence at each of B `params`, or B sequences at one.
+    """`integrate_shape_sequence` in blocks: S sequences at one ratio, or one sequence at each of B `params`.
 
-    The stacks passed `_check_frames`: (T+1, N, 2) for one sequence, whose B parameter sets share one weights
-    vector, N weights, and differ in their ratios; or (B, T+1, N, 2) for B sequences at the one `params` given.
-    The T steps of each block, B T pairs in all, each at its block's ratio, go to one vector Newton: each pair
-    keeps its own active mask and stopping rule, each block's first step its own registration seed, and a pair
-    that misses its bound goes to `position_step` with its block's shapes and ratio, so each trajectory is
-    bitwise the one a one-block call gives.  `pairs`, the `_stack_pairs` of these stacks and weights, may be
-    kept from an earlier call to skip the work no ratio enters.  A call at one ratio without `pairs` writes
-    the placed frames into the stacks given (frames 1..T) and copies nothing; otherwise each trajectory gets
-    new arrays and the stacks stay as they are, to be solved again.  Shapes are made only for the steps handed
-    to `position_step`.
+    The stacks passed `_check_frames` and are (S, T+1, N, 2), with S = 1 or B = 1; the B parameter sets share one
+    weights vector, N weights.  Block k is sequence k at the one ratio, or the one sequence at ratio k.  All steps
+    go to one vector Newton on flat angles: each pair keeps its own active mask and stopping rule, each block's
+    first step its own registration seed, and a pair that misses its bound goes to `position_step` with its
+    block's shapes and ratio, so each trajectory is bitwise the one a one-block call gives.  `pairs`, the
+    `_stack_pairs` of these stacks and weights, may be kept from an earlier call to skip the work no ratio enters.
+    The stacks are only read: the max(S, B) trajectories get new arrays.
     """
-    weights, steps = params[0].weights, verts.shape[-3] - 1
-    sequences = verts.ndim == 4
-    count = len(verts) if sequences else len(params)
-    # each block's stacks and parameters
-    if sequences:
-        block_verts, block_tangs, block_params = verts, tangs, params * count
-    else:
-        block_verts, block_tangs, block_params = [verts] * count, [tangs] * count, params
+    count, steps = max(len(verts), len(params)), verts.shape[1] - 1
+    blocks = params * (count // len(params))
+    frames = np.empty((2, count) + verts.shape[1:])  # each block's vertices and tangents, frame 0 as given
+    frames[0, :, 0], frames[1, :, 0] = verts[:, 0], tangs[:, 0]
     if not steps:
-        return [Trajectory(v, t, np.empty(0), p) for v, t, p in zip(block_verts, block_tangs, block_params)]
-    in_place = pairs is None and len(params) == 1
-    pairs = (_stack_pairs(verts, tangs, weights) if pairs is None else pairs).repeated(len(params))
-    # one float ratio, or each pair's own: the B ratios, ratio-major
-    eps = params[0].epsilon if len(params) == 1 else np.repeat([p.epsilon for p in params], steps)
-    equation, accept_tol = _AngleEquation(pairs, eps), pairs.accept_tol
-    polish_tol = _POLISH_FACTOR * accept_tol
+        return [Trajectory(v, t, np.empty(0), p) for v, t, p in zip(*frames, blocks)]
+    weights = params[0].weights
+    pairs = _stack_pairs(verts, tangs, weights) if pairs is None else pairs
+    # one float ratio, with the S T pairs placed as (S T, N) points; or B ratios as a (B, 1) column, the T pairs
+    # placed as (B, T, N) points and solved ratio-major, each bound repeated per ratio
+    if len(params) == 1:
+        eps, column, accept_tol = params[0].epsilon, (-1, 1), pairs.accept_tol
+    else:
+        eps, column, accept_tol = np.array([p.epsilon for p in params])[:, None], (count, -1, 1), np.concatenate([pairs.accept_tol] * count)
+    equation, polish_tol = _AngleEquation(pairs, eps), _POLISH_FACTOR * accept_tol
     theta = np.zeros(count * steps)
-    theta[::steps] = pairs.seeds
+    theta[::steps] = pairs.seeds * (count // len(verts))
     g, dg, b = equation(theta)
     active = np.ones(len(theta), dtype=bool)
     # per step, the Newton rules of `_solve_angle`, which this loop must match
@@ -512,34 +498,27 @@ def _integrate_stacks(verts: np.ndarray, tangs: np.ndarray, params: list[Dissipa
         g_new, dg_new, b_new = equation(trial)
         active &= np.abs(g_new) < np.abs(g)
         theta, g, dg, b = (np.where(active, new, old) for new, old in ((trial, theta), (g_new, g), (dg_new, dg), (b_new, b)))
-    r = np.exp(1j * theta)[:, None]
-    placed = SimpleNamespace(vertices=_turn(r, pairs.nxt.vertices, b[:, None]), tangents=_turn(r, pairs.nxt.tangents))
-    ratios = SimpleNamespace(weights=weights, epsilon=eps if len(params) == 1 else eps[:, None])
+    r = np.exp(1j * theta).reshape(column)
+    placed = SimpleNamespace(vertices=_turn(r, pairs.nxt.vertices, b.reshape(column)), tangents=_turn(r, pairs.nxt.tangents))
+    ratios = SimpleNamespace(weights=weights, epsilon=eps if len(params) == 1 else eps[..., None])
     residual, energies = _momentum_and_energy(pairs.prev, placed, ratios)
-    accepted = (np.abs(g) <= accept_tol) & (np.linalg.norm(residual, axis=0) <= accept_tol)
+    accepted = (np.abs(g) <= accept_tol) & (np.linalg.norm(residual, axis=0).reshape(-1) <= accept_tol)
     for s in np.flatnonzero(~accepted).tolist():
         k, t = divmod(s, steps)  # block k, step t + 1
-        pair = _shape_views(block_verts[k][t:t + 2], block_tangs[k][t:t + 2])
+        pair = _shape_views(verts[k % len(verts), t:t + 2], tangs[k % len(verts), t:t + 2])
         try:
-            solution = position_step(*pair, block_params[k], guess=RigidMotion() if t else None)
+            solution = position_step(*pair, blocks[k], guess=RigidMotion() if t else None)
         except NoConvergence as exc:
             exc.args = (f"timestep {t + 1}: {exc}",)  # keeps residual and iterations
             raise
-        theta[s], b[s], energies[s] = solution.motion.angle, complex(*solution.motion.translation), solution.energy
+        theta[s], b[s], energies.flat[s] = solution.motion.angle, complex(*solution.motion.translation), solution.energy
     # per block, frame t turns by e^{i (theta_1 + ... + theta_t)} and shifts by the b_k, k <= t, each turned as frame k - 1
     rotors, shifts = np.exp(1j * np.cumsum(theta.reshape(count, steps), axis=-1)), b.reshape(count, steps)
     shifts[:, 1:] *= rotors[:, :-1]
-    rotors, shifts = rotors.reshape(-1, 1), np.cumsum(shifts, axis=-1).reshape(-1, 1)
-    moved = _turn(rotors, pairs.nxt.vertices, shifts), _turn(rotors, pairs.nxt.tangents)
-    if in_place:
-        for out, rest in zip((verts, tangs), moved):
-            out[..., 1:, :, :] = rest.reshape(out[..., 1:, :, :].shape)
-        frames = (verts, tangs) if sequences else ([verts], [tangs])
-    else:
-        frames = np.empty((count,) + verts.shape[-3:]), np.empty((count,) + tangs.shape[-3:])
-        for out, given, rest in zip(frames, (verts, tangs), moved):
-            out[:, 0], out[:, 1:] = given[..., 0, :, :], rest.reshape(out[:, 1:].shape)
-    return [Trajectory(v, t, e, p) for v, t, e, p in zip(*frames, energies.reshape(count, steps), block_params)]
+    rotors, shifts = rotors.reshape(column), np.cumsum(shifts, axis=-1).reshape(column)
+    for out, rest in zip(frames, (_turn(rotors, pairs.nxt.vertices, shifts), _turn(rotors, pairs.nxt.tangents))):
+        out[:, 1:] = rest.reshape(out[:, 1:].shape)
+    return [Trajectory(v, t, e, p) for v, t, e, p in zip(*frames, energies.reshape(count, steps), blocks)]
 
 
 # -- file formats -------------------------------------------------------------

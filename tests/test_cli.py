@@ -86,6 +86,13 @@ def test_each_subcommand_offers_only_the_settings_it_reads(capsys, command, sett
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
+def test_max_evals_defaults_to_the_search_budget():
+    from snakesim.optimize import MAX_EVALUATIONS, optimize_gait
+
+    assert build_parser().parse_args(["optimize"]).max_evals == MAX_EVALUATIONS
+    assert optimize_gait.__defaults__ == (MAX_EVALUATIONS,)
+
+
 @pytest.mark.parametrize("argv", [["calibrate", "mocap.csv", "--c", "2.5"], ["simulate", "gait.txt", "--epsi", "0.3"]])
 def test_abbreviated_flags_exit_2(capsys, argv):
     # `calibrate --c` would otherwise read a config file named 2.5
@@ -405,13 +412,13 @@ class TestOptimize:
         import snakesim.cli as cli
         import snakesim.optimize as opt
 
-        # every evaluation is solved by `_integrate_stacks`, looked up in the optimize module, as one
-        # (T+1, N, 2) sequence or as one of the (B, T+1, N, 2) sequences of a batch: this counts solved gaits
+        # every evaluation is solved by `_integrate_stacks`, looked up in the optimize module, as one of the
+        # S sequences of its (S, T+1, N, 2) stacks: this counts solved gaits
         solves, recorded = [], []
         solve, search = opt._integrate_stacks, cli.optimize_gait
 
         def counted_solve(verts, *args):
-            solves.extend([verts] if verts.ndim == 3 else verts)
+            solves.extend(verts)
             return solve(verts, *args)
 
         def counted_search(*args, **kwargs):

@@ -793,27 +793,26 @@ def ramped_recording(rng, frames=61, edges=11):
 
 
 class TestRatioAxis:
-    """`_integrate_stacks` at B ratios against a loop of one-ratio solves, the reference kept here."""
+    """`_integrate_stacks` on (1, T+1, N, 2) stacks at B ratios against a loop of one-ratio solves, the reference kept here."""
 
     GRID = np.geomspace(0.01, 1.0, 6)  # the grid of `fit_anisotropy`
 
     @staticmethod
     def one_ratio_solves(verts, tangs, weights, epsilons):
-        # each ratio on fresh copies of the stacks, which a one-ratio solve overwrites
-        return [dyn._integrate_stacks(verts.copy(), tangs.copy(), [DissipationParams(weights, eps)])[0] for eps in epsilons]
+        return [dyn._integrate_stacks(verts[None], tangs[None], [DissipationParams(weights, eps)])[0] for eps in epsilons]
 
     def assert_bitwise(self, verts, tangs, weights, epsilons):
         expected = self.one_ratio_solves(verts, tangs, weights, epsilons)
-        before = verts.copy(), tangs.copy()
         params = [DissipationParams(weights, eps) for eps in epsilons]
-        found = dyn._integrate_stacks(verts, tangs, params, dyn._stack_pairs(verts, tangs, params[0].weights))
-        # prepared pairs: the stacks are left as they were, to be solved again
-        assert np.array_equal(verts, before[0]) and np.array_equal(tangs, before[1])
-        assert len(found) == len(epsilons)
-        for p, one, many in zip(params, expected, found):
-            assert many.params is p
-            for name in ("vertices", "tangents", "step_energies"):
-                assert getattr(many, name).tobytes() == getattr(one, name).tobytes(), (eps, name)
+        stacks = verts[None], tangs[None]
+        kept = dyn._integrate_stacks(*stacks, params, dyn._stack_pairs(*stacks, weights))
+        found = dyn._integrate_stacks(*stacks, params)
+        assert len(kept) == len(found) == len(epsilons)
+        for p, one, *many in zip(params, expected, kept, found):
+            for traj in many:
+                assert traj.params is p
+                for name in ("vertices", "tangents", "step_energies"):
+                    assert getattr(traj, name).tobytes() == getattr(one, name).tobytes(), (p.epsilon, name)
 
     def test_bitwise_one_ratio_solves_on_gait_cycles(self):
         from snakesim.optimize import random_gait
@@ -847,26 +846,19 @@ class TestRatioAxis:
         self.one_ratio_solves(verts, tangs, weights, self.GRID)
         expected, handed_over[:] = sorted(handed_over), []
         self.assert_bitwise(verts, tangs, weights, self.GRID)
+        # the one-ratio solves, then the batch with kept pairs and without: each hands over the same steps
         batched = handed_over[len(expected):]
-        assert sorted(batched) == expected
+        assert sorted(batched[:len(expected)]) == sorted(batched[len(expected):]) == expected
+        batched = batched[:len(expected)]
         ratios_per_step = {}
         for eps, step in batched:
             ratios_per_step.setdefault(step, set()).add(eps)
         assert any(0 < len(ratios) < len(self.GRID) for ratios in ratios_per_step.values())
 
-    def test_one_ratio_without_pairs_writes_into_the_stacks(self):
-        from snakesim.optimize import random_gait
-        from snakesim.shapespace import _cycle_stacks
-
-        verts, tangs = _cycle_stacks(random_gait(3), 20, 11, 0.92)
-        first = verts[0].copy()
-        (traj,) = dyn._integrate_stacks(verts, tangs, [DissipationParams(np.full(12, 0.115), 0.3)])
-        assert traj.vertices is verts and traj.tangents is tangs
-        assert np.array_equal(verts[0], first)
 
 
 class TestSequenceAxis:
-    """`_integrate_stacks` on (B, T+1, N, 2) stacks of B sequences at one ratio, against one-sequence solves."""
+    """`_integrate_stacks` on (S, T+1, N, 2) stacks of S sequences at one ratio, against one-sequence solves."""
 
     WEIGHTS = DissipationParams.uniform(1.38, 12, 0.5).weights
 
@@ -874,16 +866,12 @@ class TestSequenceAxis:
         from snakesim.shapespace import _cycle_stacks
 
         params = DissipationParams(self.WEIGHTS, epsilon)
-        expected = [dyn._integrate_stacks(*_cycle_stacks(gait, timesteps, 11, 0.92), [params])[0] for gait in gaits]
+        expected = [dyn._integrate_stacks(*(s[None] for s in _cycle_stacks(gait, timesteps, 11, 0.92)), [params])[0] for gait in gaits]
         verts, tangs = _cycle_stacks(list(gaits), timesteps, 11, 0.92)
-        before = verts.copy(), tangs.copy()
         kept = dyn._integrate_stacks(verts, tangs, [params], dyn._stack_pairs(verts, tangs, self.WEIGHTS))
-        # prepared pairs: the stacks are left as they were; without them the placed frames are written into them
-        assert np.array_equal(verts, before[0]) and np.array_equal(tangs, before[1])
         found = dyn._integrate_stacks(verts, tangs, [params])
         assert len(kept) == len(found) == len(gaits)
         for b, (one, *many) in enumerate(zip(expected, kept, found)):
-            assert np.shares_memory(many[1].vertices, verts[b]) and np.shares_memory(many[1].tangents, tangs[b])
             for traj in many:
                 assert traj.params is params
                 for name in ("vertices", "tangents", "step_energies"):
@@ -912,7 +900,7 @@ class TestSequenceAxis:
         monkeypatch.setattr(dyn, "position_step", counted)
         gaits = [random_gait(0), random_gait(1), COARSE_GAIT, random_gait(2), random_gait(3)]
         self.assert_bitwise(gaits, timesteps)
-        # one-sequence solves, then the kept-pairs and the in-place batch: each hands over the same steps
+        # one-sequence solves, then the batch with kept pairs and without: each hands over the same steps
         third = len(handed_over) // 3
         assert len(handed_over) == 3 * third
         assert sorted(map(repr, handed_over[third:2 * third])) == sorted(map(repr, handed_over[:third]))
@@ -932,6 +920,26 @@ class TestSequenceAxis:
         tangs[..., 0] = 1.0
         found = dyn._integrate_stacks(verts, tangs, [params])
         assert len(found) == 3 and all(traj.step_energies.shape == (0,) for traj in found)
+
+
+def test_every_call_leaves_its_stacks_unchanged():
+    # S sequences or B ratios, with kept pairs or without, with steps or none: the stacks given are only read,
+    # and every trajectory holds new arrays
+    from snakesim.optimize import random_gait
+    from snakesim.shapespace import _cycle_stacks
+
+    weights = np.full(12, 0.115)
+    one, grid = [DissipationParams(weights, 0.3)], [DissipationParams(weights, eps) for eps in TestRatioAxis.GRID]
+    sequences = _cycle_stacks([random_gait(3), COARSE_GAIT, random_gait(5)], 4, 11, 0.92)
+    sequence = _cycle_stacks([random_gait(3)], 20, 11, 0.92)
+    for (verts, tangs), params in [(sequences, one), (sequence, one), (sequence, grid), (tuple(s[:, :1] for s in sequences), one)]:
+        for pairs in (None, dyn._stack_pairs(verts, tangs, weights)):
+            before = verts.tobytes(), tangs.tobytes()
+            found = dyn._integrate_stacks(verts, tangs, params, pairs)
+            assert (verts.tobytes(), tangs.tobytes()) == before
+            assert len(found) == max(len(verts), len(params))
+            for traj in found:
+                assert not np.shares_memory(traj.vertices, verts) and not np.shares_memory(traj.tangents, tangs)
 
 
 class TestHoistedSums:
@@ -967,7 +975,7 @@ class TestHoistedSums:
     def test_reused_pairs_match_the_per_ratio_products(self):
         weights = np.random.default_rng(19).uniform(0.05, 0.2, 12)
         for verts, tangs in self.stacks():
-            pairs = dyn._stack_pairs(verts, tangs, weights)
+            pairs = dyn._stack_pairs(verts[None], tangs[None], weights)
             for eps in self.GRID:
                 equation = dyn._AngleEquation(pairs, eps)
                 expected, sizes = self.reference_products(verts, tangs, weights, eps)
@@ -991,12 +999,12 @@ class TestHoistedSums:
     def test_reused_pairs_give_bitwise_the_fresh_equation(self):
         weights = np.random.default_rng(21).uniform(0.05, 0.2, 12)
         for verts, tangs in self.stacks():
-            pairs = dyn._stack_pairs(verts, tangs, weights)
+            pairs = dyn._stack_pairs(verts[None], tangs[None], weights)
             sums = pairs.sums.copy()
             theta = np.linspace(-0.5, 0.5, len(verts) - 1)
             for eps in self.GRID:
                 reused = dyn._AngleEquation(pairs, eps)
-                fresh = dyn._AngleEquation(dyn._stack_pairs(verts, tangs, weights), eps)
+                fresh = dyn._AngleEquation(dyn._stack_pairs(verts[None], tangs[None], weights), eps)
                 for name in (*self.SUMS, "p1", "p_bar", "v_bar", "two_b"):
                     assert np.asarray(getattr(reused, name)).tobytes() == np.asarray(getattr(fresh, name)).tobytes(), (eps, name)
                 for found, expected in zip(reused(theta), fresh(theta)):

@@ -352,7 +352,8 @@ def one_gait_objective(gait, cfg):
     if cfg.fixed_xi is not None:
         gait = gait.with_xi(cfg.fixed_xi)
     sim = cfg.sim
-    traj = _repeat_cycle(_integrate_stacks(*_cycle_stacks(gait, sim.timesteps, sim.edges, sim.body_length), [cfg.params])[0], sim.cycles)
+    verts, tangs = _cycle_stacks(gait, sim.timesteps, sim.edges, sim.body_length)
+    traj = _repeat_cycle(_integrate_stacks(verts[None], tangs[None], [cfg.params])[0], sim.cycles)
     displacement, energy = traj.net_displacement, total_energy(traj)
     return -displacement + cfg.dissipation_coefficient * energy, displacement, energy
 
