@@ -33,7 +33,6 @@ from .errors import (
 from .geometry import (
     PositionedShape,
     RigidMotion,
-    apply_rigid_motion,
     center_of_mass,
     curve_from_curvature,
     tangents_from_vertices,
@@ -41,7 +40,6 @@ from .geometry import (
 from .shapespace import (
     GAIT_KEYS,
     GaitEllipse,
-    SerpenoidPoint,
     gait_to_shape_sequence,
     read_gait_file,
     sample_gait,
@@ -85,8 +83,6 @@ from .optimize import (
     SimConfig,
     evaluate_gait,
     evaluate_gaits,
-    gait_loss,
-    net_displacement,
     optimize_gait,
     random_gait,
     read_report_csv,

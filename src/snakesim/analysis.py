@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, total_energy
-from .errors import EmptyInput, FileFormatError, InvalidParameter, ShapeMismatch
+from .errors import EmptyInput, FileFormatError, InvalidParameter, ShapeMismatch, _check_positive
 from .tables import read_csv, read_numbers, write_csv, write_numbers
 
 __all__ = [
@@ -123,8 +123,7 @@ def trial_stats(displacements, sample: bool = False) -> tuple[float, float]:
 def cost_of_transport(power_mean: float, mass: float, gravity: float, velocity: float) -> float:
     """Dimensionless transport cost P / (m g v) of finite positive inputs."""
     for name, value in (("power", power_mean), ("mass", mass), ("gravity", gravity), ("velocity", velocity)):
-        if not 0 < value < np.inf:
-            raise InvalidParameter(f"{name} must be finite and positive, got {value}")
+        _check_positive(name, value)
     return power_mean / (mass * gravity * velocity)
 
 
@@ -134,8 +133,7 @@ def simulated_power_proxy(traj: Trajectory, cycle_duration: float) -> float:
     Reported values based on this are proxies, not measurements, and are
     flagged as such wherever they appear.
     """
-    if not cycle_duration > 0:
-        raise InvalidParameter(f"duration must be positive, got {cycle_duration}")
+    _check_positive("duration", cycle_duration)
     return total_energy(traj) / cycle_duration
 
 

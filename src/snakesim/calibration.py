@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import DissipationParams, Trajectory, _integrate_stacks, _stack_pairs
 from .dynamics import integrate_motion_trajectory  # noqa: F401 -- bench/workloads.py traces the step-by-step path here
-from .errors import EmptyInput, FileFormatError, InvalidAnisotropy, InvalidParameter, ShapeMismatch
+from .errors import EmptyInput, FileFormatError, InvalidAnisotropy, ShapeMismatch, _check_count
 from .geometry import PositionedShape, _as_points, _check_frames, _shape_views, center_of_mass, tangents_from_vertices
 from .tables import read_csv, read_numbers, write_csv, write_numbers
 
@@ -105,10 +105,6 @@ class AnisotropyFit:
     evaluations: list[tuple[float, float, float]]
     curves: list[ComCurve] = field(default_factory=list)
 
-    def __iter__(self):
-        # unpacks as the (epsilon, rms) pair
-        return iter((self.epsilon, self.rms))
-
 
 def extract_shapes(mocap: MocapTrajectory, target_steps: int | None = None) -> list[PositionedShape]:
     """Turn marker frames into positioned shapes (markers become vertices).
@@ -117,8 +113,8 @@ def extract_shapes(mocap: MocapTrajectory, target_steps: int | None = None) -> l
     the first and last frame are kept when it is 2 or more, and the first
     frame alone when it is 1.
     """
-    if target_steps is not None and not (isinstance(target_steps, (int, np.integer)) and target_steps >= 1):
-        raise InvalidParameter(f"target_steps must be an integer of at least 1, got {target_steps!r}")
+    if target_steps is not None:
+        _check_count("target_steps", target_steps, 1)
     frames = mocap.frames
     if target_steps is not None and target_steps < len(frames):
         idx = np.round(np.linspace(0, len(frames) - 1, target_steps)).astype(int)

@@ -32,7 +32,7 @@ from .dynamics import (
     write_step_energies_csv,
     write_trajectory_csv,
 )
-from .errors import InvalidParameter, NoConvergence, SnakesimError
+from .errors import InvalidParameter, NoConvergence, SnakesimError, _check_count
 from .optimize import (
     DEFAULT_BOUNDS,
     DISSIPATION_COEFFICIENT_GRID,
@@ -70,8 +70,7 @@ class RunConfig(SimpleNamespace):
 
     def __init__(self, **settings):
         super().__init__(**settings)
-        if self.jobs < 1:
-            raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
+        _check_count("jobs", self.jobs, 1)
         # the objects handed out check the rest; mass is checked even where weights replace it
         self.sim_config()
         DissipationParams.uniform(self.mass, self.num_vertices, self.epsilon)

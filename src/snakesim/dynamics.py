@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import FileFormatError, InvalidAnisotropy, InvalidParameter, NoConvergence, NonPositiveWeight, ShapeMismatch
+from .errors import FileFormatError, InvalidAnisotropy, NoConvergence, NonPositiveWeight, ShapeMismatch, _check_count
 from .geometry import PositionedShape, RigidMotion, _check_frames, _shape_views, _turn, _weights
 from .geometry import center_of_mass, complex_view, shapes_from_vertices
 from .tables import read_csv, write_csv
@@ -78,8 +78,7 @@ class DissipationParams:
     @classmethod
     def uniform(cls, total_mass: float, num_vertices: int, epsilon: float) -> "DissipationParams":
         """`num_vertices` equal weights that sum to `total_mass`."""
-        if num_vertices < 1:
-            raise InvalidParameter(f"need at least one vertex, got {num_vertices}")
+        _check_count("num_vertices", num_vertices, 1)
         if not 0.0 < total_mass < math.inf:  # reported as the mass, not as the weights made from it
             raise NonPositiveWeight(f"total mass must be finite and positive, got {total_mass}")
         return cls(np.full(num_vertices, total_mass / num_vertices), epsilon)
@@ -309,7 +308,7 @@ def _solve_angle(equation: _AngleEquation, seed: float, accept_tol, polish_tol, 
     theta, iterations = seed, 0
     g, dg, b = equation(seed)
     g_seed = g
-    # `integrate_shape_sequence` copies these Newton rules for all steps at once and must match them
+    # the loop in `_integrate_stacks` copies these Newton rules for all steps at once and must match them
     while not abs(g) <= polish_tol and iterations < max_iterations:
         step = -g / dg if dg else math.inf
         if not abs(step) <= _MAX_NEWTON_STEP:
@@ -386,6 +385,7 @@ def position_step(
     `RESIDUAL_RTOL` * (sum of weights) * body length.
     """
     _check_pair(prev, next_shape, params)
+    _check_count("max_iterations", max_iterations, 0)
     pairs = _StepPairs(prev, next_shape, params.weights)
     equation, accept_tol = _AngleEquation(pairs, params.epsilon), float(pairs.accept_tol)
     if guess is None:

@@ -1,4 +1,8 @@
-"""Exception types raised across the package: one class per kind of fault."""
+"""Exception types raised across the package: one class per kind of fault, and the scalar input rules."""
+
+import math
+
+import numpy as np
 
 
 class SnakesimError(Exception):
@@ -48,6 +52,18 @@ class NonFiniteLoss(SnakesimError):
 
 class FileFormatError(SnakesimError):
     """A data file does not match its expected format."""
+
+
+def _check_count(name: str, value, minimum: int):
+    """Reject a count that is not an int or numpy integer of at least `minimum`: a bool, or a float even when whole, is refused."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum):
+        raise InvalidParameter(f"{name} must be >= {minimum} and an integer, got {value!r}")
+
+
+def _check_positive(name: str, value):
+    """Reject a length, duration or other magnitude that is not finite and positive."""
+    if not 0 < value < math.inf:
+        raise InvalidParameter(f"{name} must be finite and positive, got {value}")
 
 
 # old names, kept for imports: each is the class now raised for its fault

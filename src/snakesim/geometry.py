@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameter, NonPositiveWeight, ShapeMismatch, ZeroLengthEdge
+from .errors import InvalidParameter, NonPositiveWeight, ShapeMismatch, ZeroLengthEdge, _check_positive
 
 _COINCIDENT_TOL = 1e-12
 
@@ -175,11 +175,6 @@ def _shape_views(vertices: np.ndarray, tangents: np.ndarray) -> list[PositionedS
     return shapes
 
 
-def apply_rigid_motion(motion: RigidMotion, shape: PositionedShape) -> PositionedShape:
-    """Move a positioned shape rigidly; tangents rotate with the shape."""
-    return PositionedShape(*motion.move(shape.vertices, shape.tangents))
-
-
 def rigid_registration(source, target, weights) -> RigidMotion:
     """Weighted least-squares rigid motion carrying `source` points onto `target`.
 
@@ -222,8 +217,7 @@ def vertices_from_curvature(curvature, body_length: float) -> np.ndarray:
 
     Each row of samples is reconstructed as in `curve_from_curvature`.
     """
-    if not body_length > 0:
-        raise InvalidParameter(f"body length must be positive, got {body_length}")
+    _check_positive("body length", body_length)
     kappa = np.asarray(curvature, dtype=float)
     m = kappa.shape[-1] if kappa.ndim else 0
     if m < 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DissipationParams, Trajectory, _integrate_stacks, integrate_motion_trajectory, total_energy
-from .errors import FileFormatError, InvalidParameter, NoConvergence, NonFiniteLoss, ShapeMismatch, SnakesimError
+from .errors import InvalidParameter, NoConvergence, NonFiniteLoss, ShapeMismatch, SnakesimError, _check_count
 from .geometry import rigid_registration
 from .shapespace import GAIT_KEYS, GaitEllipse, _check_discretization, _cycle_stacks, gait_to_shape_sequence
 from .tables import read_csv, write_csv
@@ -33,8 +33,8 @@ __all__ = [
     "DISSIPATION_COEFFICIENT_GRID",
     "random_gait",
     "simulate_gait",
-    "net_displacement",
-    "gait_loss",
+    "evaluate_gait",
+    "evaluate_gaits",
     "optimize_gait",
     "write_report_csv",
     "read_report_csv",
@@ -94,8 +94,7 @@ class SimConfig:
 
     def __post_init__(self):
         _check_discretization(self.timesteps, self.edges, self.body_length)
-        if self.cycles < 1:
-            raise InvalidParameter(f"need cycles >= 1, got {self.cycles}")
+        _check_count("cycles", self.cycles, 1)
 
     @property
     def num_vertices(self) -> int:
@@ -140,7 +139,8 @@ def _gait_from_vector(v) -> GaitEllipse:
 
 
 def random_gait(seed: int, bounds: GaitBounds = DEFAULT_BOUNDS) -> GaitEllipse:
-    """Uniform sample of the six parameters; deterministic in the seed."""
+    """Uniform sample of the six parameters; deterministic in the seed, an integer >= 0."""
+    _check_count("seed", seed, 0)
     lo, hi = bounds.as_arrays()
     rng = np.random.default_rng(seed)
     return _gait_from_vector(rng.uniform(lo, hi))
@@ -206,16 +206,6 @@ def evaluate_gait(gait: GaitEllipse, cfg: ObjectiveConfig) -> tuple[float, float
     return evaluate_gaits([gait], cfg)[0]
 
 
-def net_displacement(gait: GaitEllipse, cfg: ObjectiveConfig) -> float:
-    """Magnitude of the net CoM translation over the configured cycles, meters."""
-    return evaluate_gait(gait, cfg)[1]
-
-
-def gait_loss(gait: GaitEllipse, cfg: ObjectiveConfig) -> float:
-    """-displacement + c * energy; pins the spatial frequency when configured."""
-    return evaluate_gait(gait, cfg)[0]
-
-
 def optimize_gait(
     seed_gait: GaitEllipse,
     bounds: GaitBounds,
@@ -235,8 +225,7 @@ def optimize_gait(
     alone.  When a forward solve fails, the NoConvergence it raises carries
     the evaluations made before it as `history`.
     """
-    if max_evaluations < 1:
-        raise InvalidParameter(f"max_evaluations must be >= 1, got {max_evaluations}")
+    _check_count("max_evaluations", max_evaluations, 1)
     lo, hi = bounds.as_arrays()
     x_seed = np.clip(_gait_vector(seed_gait), lo, hi)
     if cfg.fixed_xi is not None:

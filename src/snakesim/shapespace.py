@@ -14,13 +14,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import FileFormatError, InvalidParameter
+from .errors import FileFormatError, InvalidParameter, _check_count, _check_positive
 from .geometry import PositionedShape, _check_frames, _shape_views, tangents_from_vertices, vertices_from_curvature
 from .geometry import curve_from_curvature  # noqa: F401 -- the per-layer benchmark wraps it here
 from .tables import read_key_values
 
 __all__ = [
-    "SerpenoidPoint",
     "GaitEllipse",
     "serpenoid_curvature",
     "sample_gait",
@@ -28,14 +27,6 @@ __all__ = [
     "read_gait_file",
     "write_gait_file",
 ]
-
-
-@dataclass(frozen=True)
-class SerpenoidPoint:
-    """A point (w1, w2) in the serpenoid coefficient plane."""
-
-    w1: float
-    w2: float
 
 
 # the six gait parameters, in the order of `GaitEllipse`'s fields, gait files and report rows
@@ -76,31 +67,32 @@ class GaitEllipse:
         return replace(self, xi=xi)
 
 
-def serpenoid_curvature(point: SerpenoidPoint, xi: float, s):
-    """Curvature at normalized arc length s for shape-space point (w1, w2)."""
+def serpenoid_curvature(point: tuple[float, float], xi: float, s):
+    """Curvature at normalized arc length s for the shape-space point (w1, w2)."""
+    w1, w2 = point
     phase = 2.0 * np.pi * xi * np.asarray(s, dtype=float)
-    return point.w1 * np.sin(phase) + point.w2 * np.cos(phase)
+    return w1 * np.sin(phase) + w2 * np.cos(phase)
 
 
-def sample_gait(ellipse: GaitEllipse, t) -> SerpenoidPoint:
-    """Shape-space point reached at phase t (1-periodic) along the gait ellipse.
+def sample_gait(ellipse: GaitEllipse, t) -> tuple[float, float]:
+    """Shape-space point (w1, w2) reached at phase t (1-periodic) along the gait ellipse.
 
-    An array of phases gives a point whose coordinates are arrays.
+    An array of phases gives a pair of arrays.
     """
     phase = 2.0 * np.pi * t
     u = ellipse.a * np.cos(phase)
     v = ellipse.a * ellipse.sigma * np.sin(phase)
     c, s = np.cos(ellipse.theta), np.sin(ellipse.theta)
-    return SerpenoidPoint(c * u - s * v + ellipse.xc, s * u + c * v + ellipse.yc)
+    return c * u - s * v + ellipse.xc, s * u + c * v + ellipse.yc
 
 
 def _check_discretization(timesteps=None, edges=None, body_length=None):
-    """Reject, of the values given, timesteps per cycle or body edges below 2 or not whole, or a body length not finite and positive."""
+    """Reject, of the values given, timesteps per cycle or body edges that are not integers >= 2, or a body length not finite and positive."""
     for name, count in (("timesteps", timesteps), ("edges", edges)):
-        if count is not None and not (count >= 2 and float(count).is_integer()):
-            raise InvalidParameter(f"need a whole number of {name} >= 2, got {count}")
-    if body_length is not None and not 0 < body_length < np.inf:
-        raise InvalidParameter(f"body length must be finite and positive, got {body_length}")
+        if count is not None:
+            _check_count(name, count, 2)
+    if body_length is not None:
+        _check_positive("body length", body_length)
 
 
 def gait_to_shape_sequence(

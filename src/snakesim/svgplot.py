@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidParameter, ShapeMismatch
+from .errors import EmptyInput, ShapeMismatch, _check_count
 
 __all__ = ["SvgCanvas", "plot_curves", "plot_trajectory", "plot_heatmap"]
 
@@ -200,8 +200,7 @@ def plot_trajectory(path, vertices, com_path=None, title="", stride=None, size=(
     if vertices.ndim != 3 or vertices.shape[2] != 2:
         raise ShapeMismatch(f"expected a (T, N, 2) vertex stack, got shape {vertices.shape}")
     stride = max(1, len(vertices) // 24) if stride is None else stride
-    if stride < 1:
-        raise InvalidParameter(f"stride must be a positive frame count, got {stride}")
+    _check_count("stride", stride, 1)
     drawn = vertices[sorted({*range(0, len(vertices), stride), len(vertices) - 1})]
     all_xy = drawn.reshape(-1, 2)
     if com_path is not None:

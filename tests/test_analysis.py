@@ -177,7 +177,7 @@ class TestSimulatedPowerProxy:
         shape = PositionedShape.from_vertices(np.array([[0.0, 0], [0.3, 0]]))
         params = DissipationParams.uniform(1.38, 2, 0.5)
         traj = integrate_motion_trajectory([shape] * 2, params)
-        for bad in (0.0, -1.0, np.nan):
+        for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InvalidParameter):
                 simulated_power_proxy(traj, bad)
 

@@ -359,11 +359,6 @@ class TestFitAnisotropy:
             with pytest.raises(error):
                 cal.resimulate(mocap, DissipationParams(weights, 0.3))
 
-    def test_unpacks_as_pair(self):
-        fit = AnisotropyFit(0.25, 1e-9, [(0.25, 1e-9, 0.1)])
-        epsilon, rms = fit
-        assert (epsilon, rms) == (0.25, 1e-9)
-
     def test_invalid_bounds(self):
         mocap, params = synthetic_mocap(0.3, timesteps=6, edges=4)
         for bounds in ((0.0, 1.0), (0.5, 0.2), (0.1, 1.5)):

@@ -1,4 +1,4 @@
-"""Demo scripts run end to end in a subprocess, writing only into a temporary directory."""
+"""Demo scripts run end to end in a subprocess, writing only into a temporary directory, and README's Python API example runs."""
 
 import os
 import subprocess
@@ -48,3 +48,12 @@ def test_gait_search_writes_into_out(tmp_path):
     result = run_demo("gait_search.py", "--evals", "20", "--out", str(tmp_path))
     assert result.returncode == 0, result.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report_c0.csv", "report_c2.5.csv"]
+
+
+def test_readme_python_api_example_runs(capsys):
+    # the first code a user runs: a deleted or renamed name fails here
+    section = (ROOT / "README.md").read_text().split("\n## Python API\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    displacement, energy = map(float, capsys.readouterr().out.split())
+    assert displacement > 0.0 and energy > 0.0

@@ -33,7 +33,6 @@ from snakesim.errors import (
 from snakesim.geometry import (
     PositionedShape,
     RigidMotion,
-    apply_rigid_motion,
     center_of_mass,
     curve_from_curvature,
     rigid_registration,
@@ -225,7 +224,9 @@ class TestGeometricMomentum:
         for _ in range(10):
             g = RigidMotion(rng.uniform(-np.pi, np.pi))
             rotated = geometric_momentum(
-                apply_rigid_motion(g, shapes[4]), apply_rigid_motion(g, shapes[5]), params
+                PositionedShape(*g.move(shapes[4].vertices, shapes[4].tangents)),
+                PositionedShape(*g.move(shapes[5].vertices, shapes[5].tangents)),
+                params,
             )
             c, s = np.cos(g.angle), np.sin(g.angle)
             expected = np.concatenate([mu[:1], np.array([[c, -s], [s, c]]) @ mu[1:]])
@@ -313,7 +314,7 @@ class TestPositionStep:
     def test_congruent_shape_lands_exactly(self):
         canonical = reference_shapes()[5]
         h = RigidMotion(0.7, np.array([0.4, -0.2]))
-        prev = apply_rigid_motion(h, canonical)
+        prev = PositionedShape(*h.move(canonical.vertices, canonical.tangents))
         params = DissipationParams.uniform(1.38, canonical.num_vertices, 0.3)
         sol = position_step(prev, canonical, params)
         assert np.max(np.abs(sol.positioned.vertices - prev.vertices)) < 1e-12
@@ -383,13 +384,11 @@ class TestPositionStep:
         for _ in range(8):
             edges = int(rng.integers(2, 12))
             length = rng.uniform(0.2, 2.0)
-            shapes = [
-                apply_rigid_motion(
-                    RigidMotion(rng.uniform(-np.pi, np.pi), rng.normal(size=2)),
-                    curve_from_curvature(rng.normal(scale=4.0, size=edges), length),
-                )
-                for _ in range(2)
-            ]
+            shapes = []
+            for _ in range(2):
+                motion = RigidMotion(rng.uniform(-np.pi, np.pi), rng.normal(size=2))
+                curve = curve_from_curvature(rng.normal(scale=4.0, size=edges), length)
+                shapes.append(PositionedShape(*motion.move(curve.vertices, curve.tangents)))
             weights = rng.uniform(0.1, 2.0, size=edges + 1)
             for eps in (0.05, 0.1865, 1.0):
                 params = DissipationParams(weights, eps)
@@ -397,7 +396,7 @@ class TestPositionStep:
                 for _ in range(5):
                     theta = rng.normal(scale=[2.0, 1.0, 1.0])[0]
                     g, _, b = equation(theta)
-                    moved = apply_rigid_motion(RigidMotion(theta, np.array([b.real, b.imag])), shapes[1])
+                    moved = PositionedShape(*RigidMotion(theta, np.array([b.real, b.imag])).move(shapes[1].vertices, shapes[1].tangents))
                     reference = geometric_momentum(shapes[0], moved, params)
                     # g is the rotational row; b(theta) zeroes the translational rows
                     reduced = np.array([g, 0.0, 0.0])
@@ -409,13 +408,11 @@ class TestPositionStep:
         for _ in range(10):
             edges = int(rng.integers(2, 12))
             length = rng.uniform(0.2, 2.0)
-            shapes = [
-                apply_rigid_motion(
-                    RigidMotion(rng.uniform(-np.pi, np.pi), rng.normal(size=2)),
-                    curve_from_curvature(rng.normal(scale=4.0, size=edges), length),
-                )
-                for _ in range(2)
-            ]
+            shapes = []
+            for _ in range(2):
+                motion = RigidMotion(rng.uniform(-np.pi, np.pi), rng.normal(size=2))
+                curve = curve_from_curvature(rng.normal(scale=4.0, size=edges), length)
+                shapes.append(PositionedShape(*motion.move(curve.vertices, curve.tangents)))
             weights = rng.uniform(0.1, 2.0, size=edges + 1)
             for eps in (0.05, 0.1865, 1.0):
                 equation = angle_equation(shapes[0], shapes[1], DissipationParams(weights, eps))
@@ -508,7 +505,7 @@ class TestSeedAngle:
         for seed in range(12):
             shapes = gait_to_shape_sequence(random_gait(seed), 16, 11, 0.92)
             # the previous shapes moved anywhere, so the angles cover the whole turn
-            moved = [apply_rigid_motion(RigidMotion(rng.uniform(-np.pi, np.pi), rng.normal(size=2)), s) for s in shapes]
+            moved = [PositionedShape(*RigidMotion(rng.uniform(-np.pi, np.pi), rng.normal(size=2)).move(s.vertices, s.tangents)) for s in shapes]
             for eps in (0.05, 0.1865, 0.5, 1.0):
                 params = DissipationParams(rng.uniform(0.05, 0.3, 12), eps)
                 for prev, nxt in zip(moved, shapes[1:]):
@@ -568,7 +565,7 @@ class TestIntegrateMotionTrajectory:
 
     def test_first_shape_kept_verbatim(self):
         shapes = reference_shapes(timesteps=8, edges=6)
-        start = apply_rigid_motion(RigidMotion(1.0, np.array([2.0, 3.0])), shapes[0])
+        start = PositionedShape(*RigidMotion(1.0, np.array([2.0, 3.0])).move(shapes[0].vertices, shapes[0].tangents))
         params = DissipationParams.uniform(1.38, 7, 0.3)
         traj = integrate_motion_trajectory([start] + shapes[1:], params)
         assert np.array_equal(traj.vertices[0], start.vertices)
@@ -594,11 +591,10 @@ class TestIntegrateMotionTrajectory:
         for _ in range(5):
             h = RigidMotion(rng.uniform(-np.pi, np.pi), rng.normal(scale=2.0, size=2))
             moved = integrate_motion_trajectory(
-                [apply_rigid_motion(h, shapes[0])] + shapes[1:], params
+                [PositionedShape(*h.move(shapes[0].vertices, shapes[0].tangents))] + shapes[1:], params
             )
             for ours, theirs in zip(base.shapes, moved.shapes):
-                expected = apply_rigid_motion(h, ours)
-                assert np.max(np.abs(theirs.vertices - expected.vertices)) < 1e-8 * 0.92
+                assert np.max(np.abs(theirs.vertices - h.apply_points(ours.vertices))) < 1e-8 * 0.92
 
     def test_input_layout_does_not_change_the_trajectory(self):
         rng = np.random.default_rng(32)

@@ -5,13 +5,13 @@ from snakesim.errors import NonPositiveWeight, ShapeMismatch, ZeroLengthEdge
 from snakesim.geometry import (
     PositionedShape,
     RigidMotion,
-    apply_rigid_motion,
     center_of_mass,
     complex_view,
     curve_from_curvature,
     rigid_registration,
     shapes_from_vertices,
     tangents_from_vertices,
+    vertices_from_curvature,
 )
 
 # Frozen oracle: endpoint of the smooth curve with curvature sin(2*pi*s) on [0,1],
@@ -177,36 +177,38 @@ class TestTangents:
 
 
 class TestApplyRigidMotion:
+    """`RigidMotion.move` on a shape's vertices and tangents."""
+
     def _shape(self):
         verts = np.array([[0.0, 0], [1, 0], [2, 1]])
         return PositionedShape(verts, tangents_from_vertices(verts))
 
     def test_identity_leaves_shape_unchanged(self):
         shape = self._shape()
-        moved = apply_rigid_motion(RigidMotion(), shape)
-        assert np.array_equal(moved.vertices, shape.vertices)
-        assert np.array_equal(moved.tangents, shape.tangents)
+        verts, tangs = RigidMotion().move(shape.vertices, shape.tangents)
+        assert np.array_equal(verts, shape.vertices)
+        assert np.array_equal(tangs, shape.tangents)
 
     def test_pure_translation_keeps_tangents(self):
         shape = self._shape()
-        moved = apply_rigid_motion(RigidMotion(0.0, np.array([3.0, -1.0])), shape)
-        assert np.allclose(moved.vertices, shape.vertices + [3.0, -1.0])
-        assert np.array_equal(moved.tangents, shape.tangents)
+        verts, tangs = RigidMotion(0.0, np.array([3.0, -1.0])).move(shape.vertices, shape.tangents)
+        assert np.allclose(verts, shape.vertices + [3.0, -1.0])
+        assert np.array_equal(tangs, shape.tangents)
 
     def test_quarter_turn_rotates_tangent_x_to_y(self):
         shape = self._shape()
-        moved = apply_rigid_motion(RigidMotion(np.pi / 2), shape)
-        assert np.allclose(moved.tangents[0], [0, 1], atol=1e-15)
+        _, tangs = RigidMotion(np.pi / 2).move(shape.vertices, shape.tangents)
+        assert np.allclose(tangs[0], [0, 1], atol=1e-15)
 
     def test_group_action(self):
         rng = np.random.default_rng(5)
         shape = self._shape()
         for _ in range(20):
             g1, g2 = random_motion(rng), random_motion(rng)
-            lhs = apply_rigid_motion(g2, apply_rigid_motion(g1, shape))
-            rhs = apply_rigid_motion(g2.compose(g1), shape)
-            assert np.max(np.abs(lhs.vertices - rhs.vertices)) < 1e-12
-            assert np.max(np.abs(lhs.tangents - rhs.tangents)) < 1e-12
+            lhs = g2.move(*g1.move(shape.vertices, shape.tangents))
+            rhs = g2.compose(g1).move(shape.vertices, shape.tangents)
+            assert np.max(np.abs(lhs[0] - rhs[0])) < 1e-12
+            assert np.max(np.abs(lhs[1] - rhs[1])) < 1e-12
 
 
 class TestRigidRegistration:
@@ -273,9 +275,11 @@ class TestCurveFromCurvature:
     def test_nonpositive_length_rejected(self):
         from snakesim.errors import InvalidParameter
 
-        for bad in (0.0, -1.0, np.nan):
+        for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InvalidParameter):
                 curve_from_curvature(np.zeros(4), bad)
+            with pytest.raises(InvalidParameter):  # an infinite length made NaN vertices here
+                vertices_from_curvature(np.zeros(4), bad)
 
 
 class TestCenterOfMass:
@@ -300,7 +304,7 @@ class TestCenterOfMass:
         weights = rng.uniform(0.1, 2.0, size=8)
         for _ in range(10):
             g = random_motion(rng)
-            lhs = center_of_mass(apply_rigid_motion(g, shape), weights)
+            lhs = center_of_mass(g.apply_points(shape.vertices), weights)
             rhs = g.apply_points(center_of_mass(shape, weights)[None, :])[0]
             assert np.allclose(lhs, rhs, atol=1e-12)
 

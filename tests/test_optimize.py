@@ -19,8 +19,6 @@ from snakesim.optimize import (
     SimConfig,
     evaluate_gait,
     evaluate_gaits,
-    gait_loss,
-    net_displacement,
     optimize_gait,
     random_gait,
     read_report_csv,
@@ -101,14 +99,14 @@ class TestRandomGait:
 class TestNetDisplacement:
     def test_degenerate_gait_goes_nowhere(self):
         gait = GaitEllipse(sigma=0.5, xc=0.4, yc=-0.8, theta=0.3, a=0.0, xi=1.0)
-        assert net_displacement(gait, small_cfg()) == 0.0
+        assert evaluate_gait(gait, small_cfg())[1] == 0.0
 
     def test_isotropic_friction_goes_nowhere(self):
         cfg = default_cfg(epsilon=1.0)
-        assert net_displacement(REFERENCE_GAIT, cfg) < 1e-9 * cfg.sim.body_length
+        assert evaluate_gait(REFERENCE_GAIT, cfg)[1] < 1e-9 * cfg.sim.body_length
 
     def test_reference_gait_regression_value(self):
-        disp = net_displacement(REFERENCE_GAIT, default_cfg())
+        disp = evaluate_gait(REFERENCE_GAIT, default_cfg())[1]
         assert disp > 0.0
         assert disp == pytest.approx(REFERENCE_DISPLACEMENT_M, rel=1e-6)
 
@@ -118,17 +116,16 @@ class TestGaitLoss:
         cfg = small_cfg(c=0.0)
         loss, displacement, energy = evaluate_gait(REFERENCE_GAIT, cfg)
         assert loss == -displacement
-        assert gait_loss(REFERENCE_GAIT, cfg) == -net_displacement(REFERENCE_GAIT, cfg)
 
     def test_stationary_gait_scores_zero(self):
         gait = GaitEllipse(sigma=0.5, xc=0.0, yc=0.0, theta=0.0, a=0.0, xi=1.0)
         for c in (0.0, 1.7, 1e6):
-            assert gait_loss(gait, small_cfg(c=c)) == 0.0
+            assert evaluate_gait(gait, small_cfg(c=c))[0] == 0.0
 
     def test_fixed_xi_substitution(self):
         pinned = small_cfg(fixed_xi=1.3)
         free = small_cfg()
-        assert gait_loss(REFERENCE_GAIT, pinned) == gait_loss(REFERENCE_GAIT.with_xi(1.3), free)
+        assert evaluate_gait(REFERENCE_GAIT, pinned)[0] == evaluate_gait(REFERENCE_GAIT.with_xi(1.3), free)[0]
 
     def test_evaluation_is_pure(self):
         cfg = small_cfg(c=1.7)
@@ -245,14 +242,14 @@ class TestOptimizeGait:
         seed = random_gait(3)
         best, history = optimize_gait(seed, DEFAULT_BOUNDS, cfg, max_evaluations=60)
         assert history[0].gait == seed
-        assert min(rec.loss for rec in history) == gait_loss(best, cfg)
-        assert gait_loss(best, cfg) <= history[0].loss
+        assert min(rec.loss for rec in history) == evaluate_gait(best, cfg)[0]
+        assert evaluate_gait(best, cfg)[0] <= history[0].loss
 
     def test_zero_coefficient_grows_displacement(self):
         cfg = small_cfg(c=0.0)
         seed = random_gait(11)
         best, history = optimize_gait(seed, DEFAULT_BOUNDS, cfg, max_evaluations=100)
-        assert net_displacement(best, cfg) >= net_displacement(seed, cfg)
+        assert evaluate_gait(best, cfg)[1] >= evaluate_gait(seed, cfg)[1]
 
     def test_fixed_xi_is_exact_in_result(self):
         cfg = small_cfg(fixed_xi=1.25)
