@@ -36,7 +36,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import FileFormatError, InvalidAnisotropy, NoConvergence, NonPositiveWeight, ShapeMismatch, _check_count
+from .errors import FileFormatError, InvalidAnisotropy, NoConvergence, NonPositiveWeight, ShapeMismatch
+from .errors import _check_count, _check_positive, _check_real
 from .geometry import PositionedShape, RigidMotion, _check_frames, _shape_views, _turn, _weights
 from .geometry import center_of_mass, complex_view, shapes_from_vertices
 from .tables import read_csv, write_csv
@@ -72,6 +73,7 @@ class DissipationParams:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _weights(self.weights))
+        _check_real("epsilon", self.epsilon, InvalidAnisotropy)
         if not 0.0 < self.epsilon <= 1.0:
             raise InvalidAnisotropy(f"epsilon must lie in (0, 1], got {self.epsilon}")
 
@@ -79,8 +81,7 @@ class DissipationParams:
     def uniform(cls, total_mass: float, num_vertices: int, epsilon: float) -> "DissipationParams":
         """`num_vertices` equal weights that sum to `total_mass`."""
         _check_count("num_vertices", num_vertices, 1)
-        if not 0.0 < total_mass < math.inf:  # reported as the mass, not as the weights made from it
-            raise NonPositiveWeight(f"total mass must be finite and positive, got {total_mass}")
+        _check_positive("total mass", total_mass, NonPositiveWeight)  # reported as the mass, not as the weights made from it
         return cls(np.full(num_vertices, total_mass / num_vertices), epsilon)
 
 

@@ -1,6 +1,7 @@
 """Exception types raised across the package: one class per kind of fault, and the scalar input rules."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -60,10 +61,17 @@ def _check_count(name: str, value, minimum: int):
         raise InvalidParameter(f"{name} must be >= {minimum} and an integer, got {value!r}")
 
 
-def _check_positive(name: str, value):
-    """Reject a length, duration or other magnitude that is not finite and positive."""
+def _check_real(name: str, value, error=InvalidParameter):
+    """Reject a value that is not a real number (a string, None, a bool or an array), raising `error`."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
+def _check_positive(name: str, value, error=InvalidParameter):
+    """Reject a length, duration, mass or other magnitude that is not a finite positive real number, raising `error`."""
+    _check_real(name, value, error)
     if not 0 < value < math.inf:
-        raise InvalidParameter(f"{name} must be finite and positive, got {value}")
+        raise error(f"{name} must be finite and positive, got {value}")
 
 
 # old names, kept for imports: each is the class now raised for its fault

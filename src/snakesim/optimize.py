@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DissipationParams, Trajectory, _integrate_stacks, integrate_motion_trajectory, total_energy
-from .errors import InvalidParameter, NoConvergence, NonFiniteLoss, ShapeMismatch, SnakesimError, _check_count
+from .errors import InvalidParameter, NoConvergence, NonFiniteLoss, ShapeMismatch, SnakesimError, _check_count, _check_real
 from .geometry import rigid_registration
 from .shapespace import GAIT_KEYS, GaitEllipse, _check_discretization, _cycle_stacks, gait_to_shape_sequence
 from .tables import read_csv, write_csv
@@ -93,7 +93,7 @@ class SimConfig:
     cycles: int = 1
 
     def __post_init__(self):
-        _check_discretization(self.timesteps, self.edges, self.body_length)
+        _check_discretization(timesteps=self.timesteps, edges=self.edges, body_length=self.body_length)
         _check_count("cycles", self.cycles, 1)
 
     @property
@@ -111,6 +111,7 @@ class ObjectiveConfig:
     fixed_xi: float | None = None
 
     def __post_init__(self):
+        _check_real("dissipation coefficient", self.dissipation_coefficient)
         if not self.dissipation_coefficient >= 0:
             raise InvalidParameter(f"dissipation coefficient must be >= 0, got {self.dissipation_coefficient}")
         if len(self.params.weights) != self.sim.num_vertices:

@@ -86,13 +86,13 @@ def sample_gait(ellipse: GaitEllipse, t) -> tuple[float, float]:
     return c * u - s * v + ellipse.xc, s * u + c * v + ellipse.yc
 
 
-def _check_discretization(timesteps=None, edges=None, body_length=None):
-    """Reject, of the values given, timesteps per cycle or body edges that are not integers >= 2, or a body length not finite and positive."""
-    for name, count in (("timesteps", timesteps), ("edges", edges)):
-        if count is not None:
-            _check_count(name, count, 2)
-    if body_length is not None:
-        _check_positive("body length", body_length)
+def _check_discretization(**given):
+    """Reject, of the values given by name, timesteps or edges that are not integers >= 2, or a body length not finite and positive."""
+    for name in ("timesteps", "edges"):
+        if name in given:
+            _check_count(name, given[name], 2)
+    if "body_length" in given:
+        _check_positive("body length", given["body_length"])
 
 
 def gait_to_shape_sequence(
@@ -115,7 +115,7 @@ def _cycle_stacks(gaits: GaitEllipse | list[GaitEllipse], timesteps: int, edges:
     Frames 0..timesteps-1 are the shapes of `gait_to_shape_sequence`, and the
     last frame is a copy of frame 0, which closes the cycle.
     """
-    _check_discretization(timesteps, edges, body_length)
+    _check_discretization(timesteps=timesteps, edges=edges, body_length=body_length)
     if not isinstance(gaits, GaitEllipse):  # each parameter as a (B, 1, 1) column: a gait's samples fill its own rows
         columns = np.array([[getattr(gait, key) for gait in gaits] for key in GAIT_KEYS])[..., None, None]
         gaits = SimpleNamespace(**dict(zip(GAIT_KEYS, columns)))

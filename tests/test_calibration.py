@@ -289,7 +289,7 @@ class TestFitAnisotropy:
         assert len(calls["tangents_from_vertices"]) == len(calls["_stack_pairs"]) == 1
         pairs = calls["_stack_pairs"][0]
         solves = calls["_integrate_stacks"]
-        # the grid in one solve, then one solve per Brent step, all on the same stacks and prepared pairs
+        # the grid in one solve, then one solve per Gauss-Newton step, all on the same stacks and prepared pairs
         assert [len(args[2]) for args in solves] == [cal.GRID_POINTS] + [1] * (len(fit.evaluations) - cal.GRID_POINTS)
         assert all(args[0] is pairs[0] and args[1] is pairs[1] and args[3] is not None for args in solves)
 
@@ -306,23 +306,38 @@ class TestFitAnisotropy:
 
     @staticmethod
     def one_at_a_time_fit(mocap, weights, bounds=(0.01, 1.0)):
-        """The fit as a reference loop: one `resimulate` per ratio, the grid first, then bounded Brent."""
+        """The fit as a reference loop: one `resimulate` per ratio, the grid first, then secant Gauss-Newton steps."""
         import snakesim.calibration as cal
-        from scipy.optimize import minimize_scalar
 
         measured = com_curve(mocap, weights)
         history, curves = [], []
 
-        def squared_rms(epsilon):
-            curve = com_curve(resimulate(mocap, DissipationParams(weights, float(epsilon))), weights, times=mocap.times)
-            history.append((float(epsilon), rms_error(curve, measured), curve.final_displacement))
+        def evaluate(epsilon):
+            curve = com_curve(resimulate(mocap, DissipationParams(weights, epsilon)), weights, times=mocap.times)
+            history.append((epsilon, rms_error(curve, measured), curve.final_displacement))
             curves.append(curve)
-            return history[-1][1] ** 2
+            return curve
 
-        grid = np.geomspace(bounds[0], bounds[1], cal.GRID_POINTS)
-        k = int(np.argmin([squared_rms(eps) for eps in grid]))
-        bracket = (grid[max(k - 1, 0)], grid[min(k + 1, cal.GRID_POINTS - 1)])
-        minimize_scalar(squared_rms, bounds=bracket, method="bounded", options={"xatol": cal.REFINE_TOL})
+        grid = np.geomspace(bounds[0], bounds[1], cal.GRID_POINTS).tolist()
+        for eps in grid:
+            evaluate(eps)
+        k = int(np.argmin([rms for _, rms, _ in history]))
+        lower, upper = grid[max(k - 1, 0)], grid[min(k + 1, cal.GRID_POINTS - 1)]
+        j = min((i for i in (k - 1, k + 1) if 0 <= i < cal.GRID_POINTS), key=lambda i: history[i][1])
+        (eps0, curve0), (eps1, curve1) = (grid[j], curves[j]), (grid[k], curves[k])
+        for _ in range(cal.MAX_REFINE_STEPS):
+            change = curve1.positions - curve0.positions
+            if np.max(np.abs(change)) <= cal.CURVE_RTOL * np.max(np.abs(curve1.positions)):
+                break
+            slope = change / (eps1 - eps0)
+            epsilon = eps1 - float(np.sum(slope * (curve1.positions - measured.positions)) / np.sum(slope * slope))
+            if epsilon <= lower or epsilon >= upper:
+                epsilon = (eps1 + (lower if epsilon <= lower else upper)) / 2
+            if epsilon in [eps for eps, _, _ in history]:
+                break
+            (eps0, curve0), (eps1, curve1) = (eps1, curve1), (epsilon, evaluate(epsilon))
+            if abs(eps1 - eps0) <= cal.REFINE_TOL:
+                break
         best = min(history, key=lambda rec: rec[1])
         return AnisotropyFit(best[0], best[1], history, curves)
 
@@ -383,13 +398,45 @@ class TestFitAnisotropy:
         fit = fit_anisotropy(mocap, params.weights)
         assert abs(fit.epsilon - epsilon) < 1e-3
 
+    @pytest.mark.parametrize("velocity", [(0.0, 0.0), (1.0, 0.3), (0.0, -1.0)])
+    def test_recording_whose_com_no_ratio_moves_stops_at_the_grid(self, velocity):
+        # one shape held still or moved rigidly: every ratio resimulates the
+        # same CoM curve up to rounding, so the fit is the grid's least-RMS
+        # ratio and no step is solved past the grid (along -y the curves'
+        # rounding differs between ratios, and a stop on an exactly zero J.J
+        # would take steps on it)
+        import snakesim.calibration as cal
+
+        mocap, params = synthetic_mocap(0.3, timesteps=8, edges=5)
+        shift = np.linspace(0.0, 0.5, len(mocap.times))[:, None, None] * velocity
+        frames = np.repeat(mocap.frames[:1], len(mocap.times), axis=0) + shift
+        fit = cal.fit_anisotropy(MocapTrajectory(mocap.times, frames), params.weights)
+        assert len(fit.evaluations) == len(fit.curves) == cal.GRID_POINTS
+        assert (fit.epsilon, fit.rms) == min(fit.evaluations, key=lambda record: record[1])[:2]
+        # each resimulation holds the first pose, so the RMS is that of the measured CoM's displacement
+        measured = com_curve(MocapTrajectory(mocap.times, frames), params.weights)
+        assert fit.rms == pytest.approx(np.sqrt(np.mean(measured.displacement_magnitudes ** 2)), rel=1e-12, abs=1e-15)
+
+    def test_marker_noise_ends_near_the_truth_and_below_the_grid(self):
+        mocap, params = synthetic_mocap(0.1865)
+        rng = np.random.default_rng(3)
+        noisy = MocapTrajectory(mocap.times, mocap.frames + rng.normal(scale=1e-4, size=mocap.frames.shape))
+        fit = fit_anisotropy(noisy, params.weights)
+        assert abs(fit.epsilon - 0.1865) < 1e-3
+        assert fit.rms <= min(rms for _, rms, _ in fit.evaluations[:6])
+
     def test_rms_minimum_is_found_when_displacement_is_v_shaped(self, monkeypatch):
         import snakesim.calibration as cal
 
         def synthetic(recording, epsilons):
-            # RMS has its minimum at 0.3 while displacement is V-shaped about
-            # 0.4: the fit follows the RMS alone, without a warning.
-            return [((epsilon, (epsilon - 0.3) ** 2, 0.1 + abs(epsilon - 0.4)), None) for epsilon in epsilons]
+            # The CoM curve of a ratio runs 0.3 - epsilon off the measured one,
+            # so RMS has its minimum at 0.3, while displacement is V-shaped
+            # about 0.4: the fit follows the RMS alone, without a warning.
+            evaluations = []
+            for epsilon in epsilons:
+                curve = ComCurve(recording.curve.times, recording.curve.positions + [0.3 - epsilon, 0.0])
+                evaluations.append(((epsilon, rms_error(curve, recording.curve), 0.1 + abs(epsilon - 0.4)), curve))
+            return evaluations
 
         monkeypatch.setattr(cal, "_evaluate", synthetic)
         mocap, params = synthetic_mocap(0.3, timesteps=6, edges=4)

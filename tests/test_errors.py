@@ -5,10 +5,10 @@ import snakesim
 from snakesim import errors
 from snakesim.analysis import ClassDisplacements, cost_of_transport, performance_ratios, ratio_quotients
 from snakesim.analysis import simulated_power_proxy
-from snakesim.calibration import ComCurve, MocapTrajectory, extract_shapes, rms_error
+from snakesim.calibration import ComCurve, MocapTrajectory, extract_shapes, fit_anisotropy, rms_error
 from snakesim.cli import _SETTINGS, RunConfig
 from snakesim.dynamics import DissipationParams, integrate_motion_trajectory, position_step
-from snakesim.geometry import PositionedShape, RigidMotion, curve_from_curvature
+from snakesim.geometry import PositionedShape, RigidMotion, curve_from_curvature, vertices_from_curvature
 from snakesim.optimize import DEFAULT_BOUNDS, ObjectiveConfig, SimConfig, optimize_gait, random_gait
 from snakesim.svgplot import plot_trajectory
 
@@ -77,3 +77,40 @@ def test_count_inputs_accept_only_integers_at_their_minimum(name, bad, tmp_path)
     with pytest.raises(errors.InvalidParameter, match=name):
         call(value, tmp_path)
     call(np.int64(minimum), tmp_path)
+
+
+@pytest.mark.parametrize("name", ["timesteps", "edges", "cycles"])
+def test_simulation_counts_refuse_none(name):
+    # None means "not given" to the discretization check of a gait file's extras, never to a SimConfig
+    with pytest.raises(errors.InvalidParameter, match=name):
+        SimConfig(**{name: None})
+
+
+# every real-valued scalar input: a call that passes it a value, a valid value, the class it raises and its name in the message
+MOCAP = MocapTrajectory(np.arange(3.0), FRAMES)
+REALS = {
+    "SimConfig body_length": (lambda x: SimConfig(body_length=x), 0.92, errors.InvalidParameter, "body length"),
+    "vertices_from_curvature body_length": (lambda x: vertices_from_curvature([0.0, 1.0], x), 0.92, errors.InvalidParameter, "body length"),
+    "DissipationParams epsilon": (lambda x: DissipationParams([1.0, 1.0], x), 0.5, errors.InvalidAnisotropy, "epsilon"),
+    "DissipationParams.uniform total_mass": (lambda x: DissipationParams.uniform(x, 3, 0.5), 1.38, errors.NonPositiveWeight, "total mass"),
+    "ObjectiveConfig dissipation_coefficient": (
+        lambda x: ObjectiveConfig(DissipationParams.uniform(1.38, 12, 0.5), dissipation_coefficient=x),
+        1.0, errors.InvalidParameter, "dissipation coefficient",
+    ),
+    "cost_of_transport mass": (lambda x: cost_of_transport(1.0, x, 9.81, 0.1), 1.0, errors.InvalidParameter, "mass"),
+    "simulated_power_proxy duration": (
+        lambda x: simulated_power_proxy(integrate_motion_trajectory([SEGMENT] * 2, PARAMS), x), 5.0, errors.InvalidParameter, "duration",
+    ),
+    "fit_anisotropy lower bound": (lambda x: fit_anisotropy(MOCAP, [1.0, 1.0], bounds=(x, 1.0)), 0.01, errors.InvalidAnisotropy, "lower bound"),
+    "fit_anisotropy upper bound": (lambda x: fit_anisotropy(MOCAP, [1.0, 1.0], bounds=(0.01, x)), 1.0, errors.InvalidAnisotropy, "upper bound"),
+}
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, True, np.array(0.5)])
+@pytest.mark.parametrize("name", sorted(REALS))
+def test_real_inputs_reject_what_is_not_a_real_number(name, bad):
+    call, valid, error, message = REALS[name]
+    with pytest.raises(error, match=message) as info:
+        call(bad)
+    assert type(info.value) is error
+    call(np.float64(valid))
