@@ -10,21 +10,12 @@ bodies.
 """
 
 from .errors import (
-    DegenerateJacobian,
-    DimensionMismatch,
-    EmptyCurve,
     EmptyInput,
     FileFormatError,
-    InconsistentMarkerCount,
     InvalidAnisotropy,
-    InvalidLength,
     InvalidParameter,
-    InvalidWeight,
     NoConvergence,
     NonFiniteLoss,
-    NonPositiveDisplacement,
-    NonPositiveDuration,
-    NonPositiveInput,
     NonPositiveWeight,
     ShapeMismatch,
     SnakesimError,

@@ -111,13 +111,12 @@ def ratio_quotients(d_x: np.ndarray, d_y: np.ndarray) -> tuple[np.ndarray, float
     return quotients, mean, std
 
 
-def trial_stats(displacements, sample: bool = False) -> tuple[float, float]:
-    """Mean and standard deviation of repeated trials (population STD by default)."""
+def trial_stats(displacements) -> tuple[float, float]:
+    """Mean and population standard deviation of repeated trials."""
     values = np.asarray(displacements, dtype=float).ravel()
     if values.size == 0:
         raise EmptyInput("no trials")
-    ddof = 1 if sample and values.size > 1 else 0
-    return float(np.mean(values)), float(np.std(values, ddof=ddof))
+    return float(np.mean(values)), float(np.std(values))
 
 
 def cost_of_transport(power_mean: float, mass: float, gravity: float, velocity: float) -> float:

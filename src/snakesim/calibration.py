@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import DissipationParams, Trajectory, _integrate_stacks, _stack_pairs
 from .dynamics import integrate_motion_trajectory  # noqa: F401 -- bench/workloads.py traces the step-by-step path here
-from .errors import EmptyInput, FileFormatError, InvalidAnisotropy, ShapeMismatch, _check_count, _check_real
+from .errors import EmptyInput, FileFormatError, ShapeMismatch
 from .geometry import PositionedShape, _as_points, _check_frames, _shape_views, center_of_mass, tangents_from_vertices
 from .tables import read_csv, read_numbers, write_csv, write_numbers
 
@@ -39,6 +39,8 @@ __all__ = [
     "write_weights_file",
 ]
 
+# the fitted ratio's bracket: both ends are grid points
+BOUNDS = (0.01, 1.0)
 GRID_POINTS = 6
 REFINE_TOL = 1e-4
 MAX_REFINE_STEPS = 20
@@ -110,20 +112,9 @@ class AnisotropyFit:
     curves: list[ComCurve] = field(default_factory=list)
 
 
-def extract_shapes(mocap: MocapTrajectory, target_steps: int | None = None) -> list[PositionedShape]:
-    """Turn marker frames into positioned shapes (markers become vertices).
-
-    With `target_steps` the frames are uniformly downsampled to that count:
-    the first and last frame are kept when it is 2 or more, and the first
-    frame alone when it is 1.
-    """
-    if target_steps is not None:
-        _check_count("target_steps", target_steps, 1)
-    frames = mocap.frames
-    if target_steps is not None and target_steps < len(frames):
-        idx = np.round(np.linspace(0, len(frames) - 1, target_steps)).astype(int)
-        frames = frames[idx]
-    return _shape_views(*_marker_stacks(frames))
+def extract_shapes(mocap: MocapTrajectory) -> list[PositionedShape]:
+    """Turn marker frames into positioned shapes, one per frame (markers become vertices)."""
+    return _shape_views(*_marker_stacks(mocap.frames))
 
 
 def _marker_stacks(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,41 +178,32 @@ def _evaluate(recording, epsilons):
     return evaluations
 
 
-def fit_anisotropy(
-    exp_mocap: MocapTrajectory,
-    weights,
-    bounds: tuple[float, float] = (0.01, 1.0),
-) -> AnisotropyFit:
+def fit_anisotropy(exp_mocap: MocapTrajectory, weights) -> AnisotropyFit:
     """Fit the anisotropy ratio to a measured trajectory.
 
     The marker frames are stacked and checked once, and so is the part of
     their step equations that no ratio enters.  The 6 ratios of a log-spaced
-    grid over `bounds` are resimulated first, in one lockstep solve that
-    gives each ratio bitwise its one-ratio trajectory.  Secant Gauss-Newton
-    on the (T, 2) CoM residual r(epsilon) = simulated - measured then refines
-    the best grid ratio between its two grid neighbours: the slope J is the
-    difference of the two latest evaluated curves over their ratios (at
-    first the best grid ratio and its better neighbour), and the next ratio
-    is the latest one minus J.r / J.J, except that a step to or past a
-    bracket end goes halfway to that end.  The steps stop after solving a
-    ratio that moved by at most 1e-4 (`REFINE_TOL`), and stop without a
-    further solve when the two latest curves differ by rounding alone (J.J
-    zero: no ratio moves this recording's CoM), when a step lands on a ratio
-    already evaluated (a ratio at a bracket end is a grid point), or after
-    20 steps.  The residual is fitted rather than the squared RMS minimised
-    by a scalar search: on noise-free data the residual vanishes at the
-    truth and is smooth in the ratio there, so its secant steps converge
-    superlinearly (4 to 6 steps after the grid), where a scalar search sees
-    only a minimum to bracket (about 10 steps).  Both bounds are grid
-    points, so a ratio at a bound is found.  The returned fit is the
-    evaluated ratio with the least RMS distance to the measurement, never
-    worse than the grid's best.
+    grid over the fixed bracket [0.01, 1] (`BOUNDS`) are resimulated first,
+    in one lockstep solve that gives each ratio bitwise its one-ratio
+    trajectory.  Secant Gauss-Newton on the (T, 2) CoM residual r(epsilon) =
+    simulated - measured then refines the best grid ratio between its two
+    grid neighbours: the slope J is the difference of the two latest
+    evaluated curves over their ratios (at first the best grid ratio and its
+    better neighbour), and the next ratio is the latest one minus J.r / J.J,
+    except that a step to or past a bracket end goes halfway to that end.  The
+    steps stop after solving a ratio that moved by at most 1e-4
+    (`REFINE_TOL`), and stop without a further solve when the two latest
+    curves differ by rounding alone (J.J zero: no ratio moves this
+    recording's CoM), when a step lands on a ratio already evaluated (a ratio
+    at a bracket end is a grid point), or after 20 steps.  The residual is
+    fitted rather than the squared RMS minimised by a scalar search: on
+    noise-free data the residual vanishes at the truth and is smooth in the
+    ratio there, so its secant steps converge superlinearly (4 to 6 steps
+    after the grid), where a scalar search sees only a minimum to bracket
+    (about 10 steps).  Both bracket ends are grid points, so a ratio at an end
+    is found.  The returned fit is the evaluated ratio with the least RMS
+    distance to the measurement, never worse than the grid's best.
     """
-    _check_real("lower bound", bounds[0], InvalidAnisotropy)
-    _check_real("upper bound", bounds[1], InvalidAnisotropy)
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not 0.0 < lo < hi <= 1.0:
-        raise InvalidAnisotropy(f"need 0 < lo < hi <= 1, got ({lo}, {hi})")
     w = np.asarray(weights, dtype=float).ravel()
     exp_curve = com_curve(exp_mocap, w)  # checks the weights
     verts, tangs = _marker_stacks(exp_mocap.frames)  # the same executed shapes for every ratio
@@ -231,7 +213,7 @@ def fit_anisotropy(
     recording = SimpleNamespace(verts=verts, tangs=tangs, weights=w, pairs=_stack_pairs(verts, tangs, w), curve=exp_curve)
 
     history, curves = [], []
-    grid = np.geomspace(lo, hi, GRID_POINTS).tolist()
+    grid = np.geomspace(*BOUNDS, GRID_POINTS).tolist()
     for record, curve in _evaluate(recording, grid):
         history.append(record)
         curves.append(curve)

@@ -76,6 +76,8 @@ class DissipationParams:
         _check_real("epsilon", self.epsilon, InvalidAnisotropy)
         if not 0.0 < self.epsilon <= 1.0:
             raise InvalidAnisotropy(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        # a numpy scalar would carry into the one-pair step equation and make each evaluation numpy arithmetic
+        object.__setattr__(self, "epsilon", float(self.epsilon))
 
     @classmethod
     def uniform(cls, total_mass: float, num_vertices: int, epsilon: float) -> "DissipationParams":
@@ -370,7 +372,6 @@ def position_step(
     next_shape: PositionedShape,
     params: DissipationParams,
     guess: RigidMotion | None = None,
-    max_iterations: int = _MAX_ITERATIONS,
 ) -> StepSolution:
     """Rigidly place `next_shape` so the step momentum from `prev` vanishes.
 
@@ -381,12 +382,12 @@ def position_step(
     `next_shape` onto `prev`, which is equivariant under rigid motions of
     `prev` and lies in the basin of the physical root.  The root taken is
     the one Newton reaches from that angle, or else the one in the
-    sign-change interval of g nearest it (`_solve_angle`).  The placed shape
+    sign-change interval of g nearest it (`_solve_angle`), within the
+    `_MAX_ITERATIONS` budget of `_integrate_stacks`.  The placed shape
     is accepted when its full momentum 3-vector is at most
     `RESIDUAL_RTOL` * (sum of weights) * body length.
     """
     _check_pair(prev, next_shape, params)
-    _check_count("max_iterations", max_iterations, 0)
     pairs = _StepPairs(prev, next_shape, params.weights)
     equation, accept_tol = _AngleEquation(pairs, params.epsilon), float(pairs.accept_tol)
     if guess is None:
@@ -396,7 +397,7 @@ def position_step(
     if not math.isfinite(seed):
         raise NoConvergence(f"seed angle {seed} is not finite", residual=np.full(3, np.nan), iterations=0)
 
-    theta, iterations, b = _solve_angle(equation, seed, accept_tol, _POLISH_FACTOR * accept_tol, max_iterations)
+    theta, iterations, b = _solve_angle(equation, seed, accept_tol, _POLISH_FACTOR * accept_tol, _MAX_ITERATIONS)
     motion = RigidMotion(theta, np.array([b.real, b.imag]))
     positioned = _shape_views(*motion.move(next_shape.vertices[None], next_shape.tangents[None]))[0]  # unchecked: a NaN fails below
     residual, energy = _momentum_and_energy(prev, positioned, params)

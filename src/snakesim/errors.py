@@ -73,10 +73,3 @@ def _check_positive(name: str, value, error=InvalidParameter):
     if not 0 < value < math.inf:
         raise error(f"{name} must be finite and positive, got {value}")
 
-
-# old names, kept for imports: each is the class now raised for its fault
-InvalidWeight = NonPositiveWeight
-DimensionMismatch = InconsistentMarkerCount = ShapeMismatch
-EmptyCurve = EmptyInput
-InvalidLength = NonPositiveInput = NonPositiveDuration = NonPositiveDisplacement = InvalidParameter
-DegenerateJacobian = NoConvergence

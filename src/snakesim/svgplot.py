@@ -150,8 +150,8 @@ def _fmt_tick(v: float) -> str:
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#7f7f7f"]
 
 
-def plot_curves(path, curves, xlabel="", ylabel="", title="", equal_aspect=False, size=(640, 480)):
-    """Write a multi-curve line plot.
+def plot_curves(path, curves, xlabel="", ylabel="", title="", equal_aspect=False):
+    """Write a multi-curve line plot on a 640 x 480 canvas.
 
     `curves` is a list of dicts with keys x, y and optional label, color,
     dash, width.  Returns the curve colors in drawing order so callers can
@@ -163,7 +163,7 @@ def plot_curves(path, curves, xlabel="", ylabel="", title="", equal_aspect=False
     ys_all = np.concatenate([np.asarray(c["y"], dtype=float) for c in curves])
     if xs_all.size == 0:
         raise EmptyInput("curves contain no points")
-    canvas = SvgCanvas(*size)
+    canvas = SvgCanvas()
     frame = _Frame(canvas, (xs_all.min(), xs_all.max()), (ys_all.min(), ys_all.max()), equal_aspect)
     frame.draw_axes(xlabel, ylabel, title)
     colors = []
@@ -192,8 +192,8 @@ def plot_curves(path, curves, xlabel="", ylabel="", title="", equal_aspect=False
     return colors
 
 
-def plot_trajectory(path, vertices, com_path=None, title="", stride=None, size=(640, 480)):
-    """Overlay every `stride`-th body of a (T, N, 2) vertex stack, and the last, with the CoM path dashed in red."""
+def plot_trajectory(path, vertices, com_path=None, title="", stride=None):
+    """Overlay every `stride`-th body of a (T, N, 2) vertex stack, and the last, with the CoM path dashed in red (640 x 480)."""
     vertices = np.asarray(vertices, dtype=float)
     if vertices.size == 0:
         raise EmptyInput("no frames to plot")
@@ -206,7 +206,7 @@ def plot_trajectory(path, vertices, com_path=None, title="", stride=None, size=(
     if com_path is not None:
         com_path = np.asarray(com_path, dtype=float)
         all_xy = np.concatenate([all_xy, com_path])
-    canvas = SvgCanvas(*size)
+    canvas = SvgCanvas()
     frame = _Frame(canvas, (all_xy[:, 0].min(), all_xy[:, 0].max()), (all_xy[:, 1].min(), all_xy[:, 1].max()), equal_aspect=True)
     frame.draw_axes("x [m]", "y [m]", title)
     for i, body in enumerate(drawn):
@@ -219,32 +219,33 @@ def plot_trajectory(path, vertices, com_path=None, title="", stride=None, size=(
     canvas.write(path)
 
 
-def plot_heatmap(path, matrix, row_labels=None, col_labels=None, center=1.0, mask_diagonal=True, title="", size=(560, 520)):
-    """Write a heat map with a blue-white-red scale diverging around `center`.
+def plot_heatmap(path, matrix, row_labels=None, col_labels=None, title=""):
+    """Write a 560 x 520 heat map with a blue-white-red scale diverging around 1.
 
-    With `mask_diagonal` the major diagonal is greyed out and excluded from
-    the color range, matching its exclusion from the summary statistics.
+    The major diagonal is greyed out and excluded from the color range,
+    matching its exclusion from the summary statistics.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise EmptyInput("heat map needs a nonempty 2-D matrix")
     rows, cols = m.shape
-    off = ~np.eye(rows, cols, dtype=bool) if mask_diagonal else np.ones_like(m, dtype=bool)
-    span = float(np.max(np.abs(m[off] - center))) if np.any(off) else 1.0
+    off = ~np.eye(rows, cols, dtype=bool)
+    span = float(np.max(np.abs(m[off] - 1.0))) if np.any(off) else 1.0
     span = max(span, 1e-12)
-    canvas = SvgCanvas(*size)
+    canvas = SvgCanvas(560, 520)
+    width, height = canvas.width, canvas.height
     left, top = _MARGIN, _MARGIN
-    cell_w = (size[0] - 2 * _MARGIN) / cols
-    cell_h = (size[1] - 2 * _MARGIN) / rows
+    cell_w = (width - 2 * _MARGIN) / cols
+    cell_h = (height - 2 * _MARGIN) / rows
     for i in range(rows):
         for j in range(cols):
             x, y = left + j * cell_w, top + i * cell_h
-            if mask_diagonal and i == j:
+            if i == j:
                 canvas.rect(x, y, cell_w, cell_h, fill="#d9d9d9", stroke="white", title="excluded")
             else:
                 canvas.rect(
                     x, y, cell_w, cell_h,
-                    fill=_diverging_color(m[i, j], center, span),
+                    fill=_diverging_color(m[i, j], span),
                     stroke="white",
                     title=f"{m[i, j]:.4g}",
                 )
@@ -255,22 +256,22 @@ def plot_heatmap(path, matrix, row_labels=None, col_labels=None, center=1.0, mas
         for j, lab in enumerate(col_labels):
             canvas.text(left + (j + 0.5) * cell_w, top - 8, lab, size=10, anchor="middle")
     if title:
-        canvas.text(size[0] / 2, 24, title, size=14, anchor="middle")
+        canvas.text(width / 2, 24, title, size=14, anchor="middle")
     # color bar along the bottom edge
-    bar_y = size[1] - _MARGIN + 18
-    bar_w = size[0] - 2 * _MARGIN
+    bar_y = height - _MARGIN + 18
+    bar_w = width - 2 * _MARGIN
     for k in range(60):
-        v = center - span + (2 * span) * (k + 0.5) / 60
-        canvas.rect(left + k * bar_w / 60, bar_y, bar_w / 60 + 0.5, 10, fill=_diverging_color(v, center, span))
-    canvas.text(left, bar_y + 24, _fmt_tick(center - span), size=10, anchor="start")
-    canvas.text(left + bar_w / 2, bar_y + 24, _fmt_tick(center), size=10, anchor="middle")
-    canvas.text(left + bar_w, bar_y + 24, _fmt_tick(center + span), size=10, anchor="end")
+        v = 1.0 - span + (2 * span) * (k + 0.5) / 60
+        canvas.rect(left + k * bar_w / 60, bar_y, bar_w / 60 + 0.5, 10, fill=_diverging_color(v, span))
+    canvas.text(left, bar_y + 24, _fmt_tick(1.0 - span), size=10, anchor="start")
+    canvas.text(left + bar_w / 2, bar_y + 24, _fmt_tick(1.0), size=10, anchor="middle")
+    canvas.text(left + bar_w, bar_y + 24, _fmt_tick(1.0 + span), size=10, anchor="end")
     canvas.write(path)
 
 
-def _diverging_color(value, center, span) -> str:
-    """Blue below `center`, white at it, red above; clipped at +-span."""
-    t = float(np.clip((value - center) / span, -1.0, 1.0))
+def _diverging_color(value, span) -> str:
+    """Blue below 1, white at it, red above; clipped at 1 +- span."""
+    t = float(np.clip((value - 1.0) / span, -1.0, 1.0))
     white = (255, 255, 255)
     endpoint = (59, 76, 192) if t < 0 else (180, 4, 38)
     rgb = tuple(round(w + (e - w) * abs(t)) for w, e in zip(white, endpoint))

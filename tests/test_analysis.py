@@ -95,6 +95,12 @@ class TestRatioQuotients:
         with pytest.raises(ShapeMismatch):
             ratio_quotients(np.ones((2, 2)), np.ones((3, 3)))
 
+    def test_one_gait_has_no_off_diagonal(self):
+        # a 1x1 matrix has only its diagonal: the statistics are those of perfect agreement
+        xi, mean, std = ratio_quotients([[2.0]], [[4.0]])
+        assert np.array_equal(xi, [[0.5]])
+        assert (mean, std) == (1.0, 0.0)
+
 
 class TestTrialStats:
     def test_constant(self):
@@ -111,13 +117,6 @@ class TestTrialStats:
         s = (sum((v - m) ** 2 for v in values) / len(values)) ** 0.5
         assert mean == pytest.approx(m, rel=1e-14)
         assert std == pytest.approx(s, rel=1e-14)
-
-    def test_sample_flag_uses_bessel(self):
-        values = [0.0, 2.0]
-        _, population = trial_stats(values)
-        _, sample = trial_stats(values, sample=True)
-        assert population == 1.0
-        assert sample == pytest.approx(np.sqrt(2.0))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):

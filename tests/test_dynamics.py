@@ -136,6 +136,18 @@ class TestLocalTensor:
 
 
 class TestDissipationParams:
+    def test_ratio_is_stored_as_a_float(self):
+        # a numpy scalar ratio kept as given would make the one-pair step equation numpy arithmetic, with other last bits
+        from snakesim.optimize import SimConfig, random_gait, simulate_gait
+
+        given = DissipationParams.uniform(1.38, 12, np.float64(0.1865))
+        assert type(given.epsilon) is float
+        for seed in range(9):
+            expected = simulate_gait(random_gait(seed), SimConfig(), DissipationParams.uniform(1.38, 12, 0.1865))
+            found = simulate_gait(random_gait(seed), SimConfig(), given)
+            assert found.vertices.tobytes() == expected.vertices.tobytes()
+            assert found.step_energies.tobytes() == expected.step_energies.tobytes()
+
     def test_non_finite_weights_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(NonPositiveWeight):
@@ -359,11 +371,12 @@ class TestPositionStep:
             assert sol.energy == step_energy(prev, sol.positioned, params)
             prev = sol.positioned
 
-    def test_no_convergence_reports_residual_and_iterations(self):
+    def test_no_convergence_reports_residual_and_iterations(self, monkeypatch):
         shapes = reference_shapes(timesteps=8, edges=6)
         params = DissipationParams.uniform(1.38, 7, 0.2)
+        monkeypatch.setattr(dyn, "_MAX_ITERATIONS", 1)  # the budget is read at each call
         with pytest.raises(NoConvergence) as info:
-            position_step(shapes[0], shapes[3], params, guess=RigidMotion(2.5, np.array([50.0, 50.0])), max_iterations=1)
+            position_step(shapes[0], shapes[3], params, guess=RigidMotion(2.5, np.array([50.0, 50.0])))
         assert info.value.residual is not None
         assert info.value.iterations == 1
 
@@ -445,6 +458,25 @@ class TestPositionStep:
                 theta, iterations, b = _solve_angle(equation, seed, accept_tol, 1e-4 * accept_tol, budget)
                 assert iterations <= budget
                 assert b == equation(theta)[2]
+
+    def test_scan_without_a_sign_change_returns_the_seed(self):
+        # g never vanishes, and Newton cannot start on a flat g: the scan spends one evaluation per interval
+        from snakesim.dynamics import _SCAN_INTERVALS, _solve_angle
+
+        theta, iterations, b = _solve_angle(lambda angle: (1.0, 0.0, complex(angle)), 0.5, 1e-12, 1e-16, 100)
+        assert (theta, iterations, b) == (0.5, _SCAN_INTERVALS, 0.5)
+
+    def test_bisection_stops_when_the_bracket_is_two_adjacent_floats(self):
+        # a g that jumps from -1 to 1 at 0.1, flat on either side: the refinement bisects until no float lies
+        # strictly inside the bracket, well inside the budget
+        from snakesim.dynamics import _solve_angle
+
+        def step(angle):
+            return (1.0 if angle >= 0.1 else -1.0), 0.0, complex(angle)
+
+        theta, iterations, b = _solve_angle(step, 0.0, 0.0, 0.0, 100)
+        assert abs(theta - 0.1) <= math.ulp(0.1) and b == theta
+        assert iterations < 100
 
     def test_input_layout_does_not_change_the_step(self):
         # Fortran-ordered, strided and integer arrays are stored C-contiguous float64

@@ -3,42 +3,54 @@ import pytest
 
 import snakesim
 from snakesim import errors
-from snakesim.analysis import ClassDisplacements, cost_of_transport, performance_ratios, ratio_quotients
-from snakesim.analysis import simulated_power_proxy
-from snakesim.calibration import ComCurve, MocapTrajectory, extract_shapes, fit_anisotropy, rms_error
+from snakesim.analysis import PowerLog, cost_of_transport, read_matrix_csv, read_power_csv, simulated_power_proxy
+from snakesim.calibration import MocapTrajectory
 from snakesim.cli import _SETTINGS, RunConfig
-from snakesim.dynamics import DissipationParams, integrate_motion_trajectory, position_step
-from snakesim.geometry import PositionedShape, RigidMotion, curve_from_curvature, vertices_from_curvature
+from snakesim.dynamics import DissipationParams, integrate_motion_trajectory, read_step_energies_csv
+from snakesim.geometry import PositionedShape, tangents_from_vertices, vertices_from_curvature
 from snakesim.optimize import DEFAULT_BOUNDS, ObjectiveConfig, SimConfig, optimize_gait, random_gait
+from snakesim.shapespace import GaitEllipse
 from snakesim.svgplot import plot_trajectory
 
 SEGMENT = PositionedShape.from_vertices([[0.0, 0.0], [0.3, 0.0]])
 PARAMS = DissipationParams.uniform(1.0, 2, 0.5)
 
-# old name -> (the class it names now, a call that makes the fault the old name was raised for)
+
+def write(path, text):
+    path.write_text(text)
+    return path
+
+
+# fault -> (the class raised, its message, a call that makes the fault in a temporary directory)
 FAULTS = {
-    "InvalidWeight": ("NonPositiveWeight", lambda: DissipationParams([1.0, -1.0], 0.5)),
-    "DimensionMismatch": ("ShapeMismatch", lambda: ratio_quotients(np.ones((2, 2)), np.ones((3, 3)))),
-    "InconsistentMarkerCount": ("ShapeMismatch", lambda: MocapTrajectory([0.0, 1.0], np.zeros((3, 2, 2)))),
-    "EmptyCurve": ("EmptyInput", lambda: rms_error(ComCurve([], np.zeros((0, 2))), ComCurve([0.0], np.zeros((1, 2))))),
-    "InvalidLength": ("InvalidParameter", lambda: curve_from_curvature([0.0, 0.0], -1.0)),
-    "NonPositiveInput": ("InvalidParameter", lambda: cost_of_transport(1.0, 1.0, 9.81, 0.0)),
-    "NonPositiveDuration": (
-        "InvalidParameter",
-        lambda: simulated_power_proxy(integrate_motion_trajectory([SEGMENT] * 2, PARAMS), 0.0),
+    "negative weight": (errors.NonPositiveWeight, "weight", lambda _: DissipationParams([1.0, -1.0], 0.5)),
+    "timestamps for frames": (errors.ShapeMismatch, "2 timestamps for 3 frames", lambda _: MocapTrajectory([0.0, 1.0], np.zeros((3, 2, 2)))),
+    "gait sigma above 1": (errors.InvalidParameter, "sigma", lambda _: GaitEllipse(1.5, 0.0, 0.0, 0.0, 3.0, 1.0)),
+    "gait negative semi-axis": (errors.InvalidParameter, "semi-axis", lambda _: GaitEllipse(1.0, 0.0, 0.0, 0.0, -1.0, 1.0)),
+    "gait zero spatial frequency": (errors.InvalidParameter, "xi", lambda _: GaitEllipse(1.0, 0.0, 0.0, 0.0, 3.0, 0.0)),
+    "tangents of one vertex": (errors.ShapeMismatch, "two vertices", lambda _: tangents_from_vertices([[0.0, 0.0]])),
+    "edges that reverse exactly": (
+        errors.ZeroLengthEdge, "around vertex 1 reverse", lambda _: tangents_from_vertices([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
     ),
-    "NonPositiveDisplacement": ("InvalidParameter", lambda: performance_ratios(ClassDisplacements("Exp", [0.2, -0.1]))),
-    "DegenerateJacobian": ("NoConvergence", lambda: position_step(SEGMENT, SEGMENT, PARAMS, guess=RigidMotion(np.nan))),
+    "curvature without samples": (errors.InvalidParameter, "curvature sample", lambda _: vertices_from_curvature([], 0.92)),
+    "no shapes to integrate": (errors.ShapeMismatch, "at least one shape", lambda _: integrate_motion_trajectory([], PARAMS)),
+    "step energies out of order": (
+        errors.FileFormatError, "in order", lambda path: read_step_energies_csv(write(path / "e.csv", "t,energy\r\n2,0.5\r\n1,0.5\r\n")),
+    ),
+    "empty power log": (errors.EmptyInput, "empty", lambda _: PowerLog([], [])),
+    "power CSV without rows": (errors.FileFormatError, "no data rows", lambda path: read_power_csv(write(path / "p.csv", "time_s,power_w\r\n"))),
+    "matrix CSV rows for labels": (
+        errors.FileFormatError, "1 rows for 2 columns", lambda path: read_matrix_csv(write(path / "m.csv", ",a,b\r\na,1.0,2.0\r\n")),
+    ),
 }
 
 
-@pytest.mark.parametrize("old", sorted(FAULTS))
-def test_old_name_imports_and_is_the_class_raised_for_its_fault(old):
-    new, fault = FAULTS[old]
-    cls = getattr(errors, new)
-    assert getattr(errors, old) is cls and getattr(snakesim, old) is cls and getattr(snakesim, new) is cls
-    with pytest.raises(cls) as info:
-        fault()
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_raises_its_class(fault, tmp_path):
+    cls, message, call = FAULTS[fault]
+    assert getattr(snakesim, cls.__name__) is cls
+    with pytest.raises(cls, match=message) as info:
+        call(tmp_path)
     assert type(info.value) is cls
 
 
@@ -62,10 +74,8 @@ COUNTS = {
         lambda n, _: optimize_gait(random_gait(0), DEFAULT_BOUNDS, ObjectiveConfig(DissipationParams.uniform(1.38, 12, 0.5)), n),
     ),
     "seed": (0, lambda n, _: random_gait(n)),
-    "target_steps": (1, lambda n, _: extract_shapes(MocapTrajectory(np.arange(3.0), FRAMES), n)),
     "stride": (1, lambda n, path: plot_trajectory(path / "t.svg", FRAMES, stride=n)),
     "jobs": (1, lambda n, _: RunConfig(**{**{key: default for key, (_, default, _) in _SETTINGS.items()}, "jobs": n})),
-    "max_iterations": (0, lambda n, _: position_step(SEGMENT, SEGMENT, PARAMS, max_iterations=n)),
 }
 
 
@@ -87,7 +97,6 @@ def test_simulation_counts_refuse_none(name):
 
 
 # every real-valued scalar input: a call that passes it a value, a valid value, the class it raises and its name in the message
-MOCAP = MocapTrajectory(np.arange(3.0), FRAMES)
 REALS = {
     "SimConfig body_length": (lambda x: SimConfig(body_length=x), 0.92, errors.InvalidParameter, "body length"),
     "vertices_from_curvature body_length": (lambda x: vertices_from_curvature([0.0, 1.0], x), 0.92, errors.InvalidParameter, "body length"),
@@ -101,8 +110,6 @@ REALS = {
     "simulated_power_proxy duration": (
         lambda x: simulated_power_proxy(integrate_motion_trajectory([SEGMENT] * 2, PARAMS), x), 5.0, errors.InvalidParameter, "duration",
     ),
-    "fit_anisotropy lower bound": (lambda x: fit_anisotropy(MOCAP, [1.0, 1.0], bounds=(x, 1.0)), 0.01, errors.InvalidAnisotropy, "lower bound"),
-    "fit_anisotropy upper bound": (lambda x: fit_anisotropy(MOCAP, [1.0, 1.0], bounds=(0.01, x)), 1.0, errors.InvalidAnisotropy, "upper bound"),
 }
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from snakesim.dynamics import DissipationParams, geometric_momentum, integrate_motion_trajectory
 from snakesim.errors import (
-    DegenerateJacobian,
     FileFormatError,
     InvalidParameter,
     NoConvergence,
@@ -315,8 +314,7 @@ class TestOptimizeGait:
         _, history = optimize_gait(random_gait(9), DEFAULT_BOUNDS, cfg, max_evaluations=25)
         assert len(history) <= 25 + 1  # scipy may finish the in-flight iteration
 
-    # DegenerateJacobian is an alias of NoConvergence, so the ids name the spelling used
-    @pytest.mark.parametrize("failure", [NoConvergence, DegenerateJacobian], ids=["NoConvergence", "DegenerateJacobian"])
+    @pytest.mark.parametrize("failure", [NoConvergence], ids=["NoConvergence"])
     def test_solver_failure_keeps_history(self, monkeypatch, failure):
         import snakesim.optimize as opt
 

@@ -3,8 +3,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from snakesim.errors import EmptyInput, NonPositiveInput, ShapeMismatch
-from snakesim.svgplot import plot_curves, plot_heatmap, plot_trajectory
+from snakesim.errors import EmptyInput, InvalidParameter, ShapeMismatch
+from snakesim.svgplot import _fmt_tick, plot_curves, plot_heatmap, plot_trajectory
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -110,7 +110,7 @@ class TestPlotTrajectory:
         with pytest.raises(ShapeMismatch):
             plot_trajectory(tmp_path / "flat.svg", self.frames()[0])
         for stride in (0, -1):
-            with pytest.raises(NonPositiveInput):
+            with pytest.raises(InvalidParameter):
                 plot_trajectory(tmp_path / "strided.svg", self.frames(), stride=stride)
 
     def test_empty_rejected(self, tmp_path):
@@ -134,16 +134,16 @@ class TestPlotHeatmap:
         counts = Counter(fills)
         assert any(count == 3 for color, count in counts.items())
 
-    def test_unmasked_diagonal(self, tmp_path):
-        path = tmp_path / "heat2.svg"
-        plot_heatmap(path, np.ones((2, 2)), mask_diagonal=False)
-        parse(path)  # well-formed
-
     def test_rejects_empty_and_non_2d(self, tmp_path):
         with pytest.raises(EmptyInput):
             plot_heatmap(tmp_path / "bad.svg", np.zeros((0, 0)))
         with pytest.raises(EmptyInput):
             plot_heatmap(tmp_path / "bad2.svg", np.array([1.0, 2.0]))
+
+
+def test_tick_labels_switch_to_exponents_for_small_and_large_values():
+    assert [_fmt_tick(v) for v in (0.0, 0.25, 1234.5)] == ["0", "0.25", "1.23e+03"]
+    assert [_fmt_tick(v) for v in (2.5e-4, -12345.0)] == ["2.5e-04", "-1.2e+04"]
 
 
 class TestBulkPoints:
