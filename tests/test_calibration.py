@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from snakesim.calibration import (
+    BOUNDS,
+    GRID_POINTS,
     AnisotropyFit,
     ComCurve,
     MocapTrajectory,
@@ -60,6 +62,14 @@ class TestExtractShapes:
             assert np.array_equal(shape.vertices[:, :2], frame)
             assert shape.vertices.shape == frame.shape
             assert np.array_equal(shape.tangents, tangents_from_vertices(frame))
+
+    def test_every_frame_becomes_a_shape(self):
+        # a long recording is not thinned: shape t is frame t, the last included
+        rng = np.random.default_rng(30)
+        frames = rng.normal(size=(150, 4, 2)).cumsum(axis=0) * 0.01 + [[0, 0], [0.3, 0], [0.6, 0], [0.9, 0]]
+        shapes = extract_shapes(MocapTrajectory(np.arange(150.0), frames))
+        assert len(shapes) == 150
+        assert np.array_equal(shapes[-1].vertices[:, :2], frames[-1])
 
     def test_single_marker_rejected(self):
         mocap = MocapTrajectory(np.arange(3.0), np.zeros((3, 1, 2)))
@@ -223,12 +233,13 @@ class TestFitAnisotropy:
         # to the ~0.23 m traveled
         assert fit.rms < 1e-5
 
-    def test_truth_at_bound_is_recovered(self):
-        # the bracket's lower end is a grid point: the grid finds it, and a step to it is one already evaluated
-        mocap, params = synthetic_mocap(0.01)
+    @pytest.mark.parametrize("truth", BOUNDS)
+    def test_truth_at_bound_is_recovered(self, truth):
+        # each end of the bracket is a grid point: the grid finds it, and a step to it is one already evaluated
+        mocap, params = synthetic_mocap(truth)
         fit = fit_anisotropy(mocap, params.weights)
-        assert fit.epsilon == 0.01
-        assert len(fit.evaluations) == 6
+        assert fit.epsilon == truth
+        assert len(fit.evaluations) == GRID_POINTS
 
     def test_gait_independence(self):
         gaits = [

@@ -134,11 +134,34 @@ class TestPlotHeatmap:
         counts = Counter(fills)
         assert any(count == 3 for color, count in counts.items())
 
+    def test_scale_diverges_around_one(self, tmp_path):
+        # 1 is white, and the off-diagonal extremes 1 -+ 0.5 take the full blue and red ends
+        path = tmp_path / "centred.svg"
+        plot_heatmap(path, np.array([[9.0, 1.0, 1.5], [0.5, 9.0, 1.0], [1.25, 0.75, 9.0]]))
+        fills = {r.find(SVG_NS + "title").text: r.get("fill") for r in tags(parse(path), "rect") if r.find(SVG_NS + "title") is not None}
+        assert fills == {"excluded": "#d9d9d9", "1": "#ffffff", "1.5": "#b40426", "0.5": "#3b4cc0", "1.25": "#da8292", "0.75": "#9da6e0"}
+
     def test_rejects_empty_and_non_2d(self, tmp_path):
         with pytest.raises(EmptyInput):
             plot_heatmap(tmp_path / "bad.svg", np.zeros((0, 0)))
         with pytest.raises(EmptyInput):
             plot_heatmap(tmp_path / "bad2.svg", np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "plot, size",
+    [
+        (lambda path: plot_curves(path, [{"x": [0, 1], "y": [0, 1]}]), ("640", "480")),
+        (lambda path: plot_trajectory(path, [[[0.0, 0.0], [0.3, 0.0]]]), ("640", "480")),
+        (lambda path: plot_heatmap(path, np.ones((2, 2))), ("560", "520")),
+    ],
+    ids=["curves", "trajectory", "heatmap"],
+)
+def test_canvas_size_is_fixed_per_plot(plot, size, tmp_path):
+    plot(tmp_path / "p.svg")
+    root = parse(tmp_path / "p.svg")
+    assert (root.get("width"), root.get("height")) == size
+    assert root.get("viewBox") == f"0 0 {size[0]} {size[1]}"
 
 
 def test_tick_labels_switch_to_exponents_for_small_and_large_values():
