@@ -642,8 +642,17 @@ class TestGaitSample:
         gait, meta = read_gait_file(tmp_path / "a" / "gait_seed9.txt")
         assert meta["timesteps"] == 50 and meta["edges"] == 11
 
-    def test_module_entry_point(self, tmp_path, monkeypatch):
-        # `python -m snakesim` runs the package's __main__ through runpy, here in this interpreter
+    def test_module_entry_point(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "snakesim", "gait-sample", "--seed", "1", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert (tmp_path / "gait_seed1.txt").exists()
+
+    def test_module_entry_point_in_process(self, tmp_path, monkeypatch):
+        # the same run through runpy in this interpreter, so a line tracer sees __main__.py
         monkeypatch.setattr(sys, "argv", ["snakesim", "gait-sample", "--seed", "1", "--out", str(tmp_path)])
         with pytest.raises(SystemExit) as info:
             runpy.run_module("snakesim", run_name="__main__")

@@ -72,7 +72,7 @@ def test_fault_raises_its_class(fault, tmp_path):
     assert type(info.value) is cls
 
 
-# names kept for old imports until the ten classes settled; each named one of the classes above
+# an alias is the same class object as its target, so the ten-class count below cannot see a leftover one
 REMOVED_ALIASES = [
     "DegenerateJacobian", "DimensionMismatch", "EmptyCurve", "InconsistentMarkerCount", "InvalidLength",
     "InvalidWeight", "NonPositiveDisplacement", "NonPositiveDuration", "NonPositiveInput",
