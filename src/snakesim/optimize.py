@@ -2,8 +2,8 @@
 
 The objective is -displacement + c * dissipated energy, both taken from the
 same forward simulation of a closed gait cycle.  The forward map goes through
-a root solve per timestep, so the search is derivative-free: Nelder-Mead
-over box-normalized parameters, with bounds enforced by clipping at
+a root solve per timestep, so the search is derivative-free: a Nelder-Mead
+loop over box-normalized parameters, with bounds enforced by clipping at
 evaluation time.  The objective solves all steps of the cycle at once from
 the gait's frame stacks, and the search's starting simplex, whose vertices
 Nelder-Mead scores independently, in one solve of all their cycles;
@@ -15,6 +15,7 @@ later cycles with rigid moves of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -61,7 +62,12 @@ class GaitBounds:
 
     def __post_init__(self):
         for name in GAIT_KEYS:
-            lo, hi = getattr(self, name)
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):
+                raise InvalidParameter(f"{name}: bounds must be a (lower, upper) pair, got {getattr(self, name)!r}") from None
+            _check_real(f"{name} bound", lo)
+            _check_real(f"{name} bound", hi)
             if not -np.inf < lo <= hi < np.inf:
                 raise InvalidParameter(f"{name}: bounds must be finite, lower <= upper, got ({lo}, {hi})")
         if self.sigma[0] < 0.0 or self.sigma[1] > 1.0:
@@ -112,6 +118,8 @@ class ObjectiveConfig:
 
     def __post_init__(self):
         _check_real("dissipation coefficient", self.dissipation_coefficient)
+        if self.fixed_xi is not None:
+            _check_real("fixed xi", self.fixed_xi)
         if not self.dissipation_coefficient >= 0:
             raise InvalidParameter(f"dissipation coefficient must be >= 0, got {self.dissipation_coefficient}")
         if len(self.params.weights) != self.sim.num_vertices:
@@ -220,23 +228,22 @@ def optimize_gait(
     pinned, are held fixed).  Out-of-box trial points are clipped at
     evaluation.  The search stops when the simplex diameter falls below 1e-4
     in normalized coordinates or after `max_evaluations` objective calls.
-    The returned gait never scores worse than the seed.  The starting simplex
-    is solved in one `evaluate_gaits` call, and each result is handed over
-    when scipy asks for exactly that vertex; every other point is solved
-    alone.  When a forward solve fails, the NoConvergence it raises carries
-    the evaluations made before it as `history`.
+    The returned gait never scores worse than the seed.  The steps are Nelder
+    & Mead's (1965): reflection 1, expansion 2, contraction and shrink 1/2.
+    The starting simplex is solved in one `evaluate_gaits` call, every later
+    point alone.  When a forward solve fails, the NoConvergence it raises
+    carries the evaluations made before it as `history`.
     """
     _check_count("max_evaluations", max_evaluations, 1)
     lo, hi = bounds.as_arrays()
     x_seed = np.clip(_gait_vector(seed_gait), lo, hi)
+    width = hi - lo
+    free = width > 0
     if cfg.fixed_xi is not None:
         xi_lo, xi_hi = bounds.xi
         if not xi_lo <= cfg.fixed_xi <= xi_hi:
             raise InvalidParameter(f"fixed xi {cfg.fixed_xi} outside bounds [{xi_lo}, {xi_hi}]")
         x_seed[GAIT_KEYS.index("xi")] = cfg.fixed_xi
-    width = hi - lo
-    free = width > 0
-    if cfg.fixed_xi is not None:
         free[GAIT_KEYS.index("xi")] = False
 
     history: list[EvaluationRecord] = []
@@ -246,52 +253,55 @@ def optimize_gait(
         x[free] = lo[free] + np.clip(u, 0.0, 1.0) * width[free]
         return _gait_from_vector(x)
 
-    u0 = (x_seed[free] - lo[free]) / width[free]
-    simplex = [u0]
-    for i in range(len(u0)):
-        vertex = u0.copy()
-        vertex[i] += _SIMPLEX_SPREAD if vertex[i] + _SIMPLEX_SPREAD <= 1.0 else -_SIMPLEX_SPREAD
-        simplex.append(vertex)
-    # Nelder-Mead scores the starting vertices first, in order and independently, so they are solved in one batch;
-    # if a gait fails, each is solved alone, so that the failure shows at its own vertex with the evaluations before it
-    try:
-        stored = list(zip(simplex, evaluate_gaits([decode(u) for u in simplex[:max_evaluations]], cfg)))
-    except SnakesimError:
-        stored = []
-
-    def objective(u) -> float:
+    def objective(u, result=None) -> float:
+        if len(history) >= max_evaluations:
+            return np.inf  # past the budget: nothing is solved, and the loop's test ends the search
         gait = decode(u)
-        if stored and np.array_equal(u, stored[0][0]):
-            loss, displacement, energy = stored.pop(0)[1]
-        else:
-            try:
-                loss, displacement, energy = evaluate_gait(gait, cfg)
-            except NoConvergence as exc:
-                exc.history = list(history)
-                raise
+        try:
+            loss, displacement, energy = result or evaluate_gait(gait, cfg)  # a batch result, else a solve of its own
+        except NoConvergence as exc:
+            exc.history = list(history)
+            raise
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss {loss} at {gait}", gait=gait)
         history.append(EvaluationRecord(len(history), loss, displacement, energy, gait))
         return loss
 
-    if not np.any(free):
-        objective(u0)
-    else:
-        # imported here: scipy.optimize is most of the package's import time, which runs that never search should not pay
-        from scipy.optimize import minimize
-
-        minimize(
-            objective,
-            u0,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": np.array(simplex),
-                "xatol": SIMPLEX_DIAMETER_TOL,
-                "fatol": np.inf,
-                "maxfev": max_evaluations,
-                "disp": False,
-            },
-        )
+    u0 = (x_seed[free] - lo[free]) / width[free]
+    sim = np.tile(u0, (len(u0) + 1, 1))
+    for i in range(len(u0)):
+        sim[i + 1, i] += _SIMPLEX_SPREAD if u0[i] + _SIMPLEX_SPREAD <= 1.0 else -_SIMPLEX_SPREAD
+    # the starting vertices are scored independently, so they are solved in one batch; if a gait fails, each
+    # is solved alone, so that the failure shows at its own vertex with the evaluations before it
+    try:
+        batch = evaluate_gaits([decode(u) for u in sim[:max_evaluations]], cfg)
+    except SnakesimError:
+        batch = []
+    fsim = np.array([objective(u, result) for u, result in zip_longest(sim, batch)])
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        if len(history) >= max_evaluations or np.max(np.abs(sim[1:] - sim[0]), initial=0.0) <= SIMPLEX_DIAMETER_TOL:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / len(u0)
+        xr = 2 * xbar - sim[-1]
+        fxr = objective(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = objective(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # contract outside when the reflection beats the worst vertex, else inside; shrink if that fails too
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = objective(xc)
+            if fxc <= fxr if outside else fxc < fsim[-1]:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = [objective(u) for u in sim[1:]]
 
     best = min(history, key=lambda rec: rec.loss)
     return best.gait, history

@@ -9,7 +9,7 @@ from snakesim.calibration import ComCurve, MocapTrajectory, rms_error
 from snakesim.cli import _SETTINGS, RunConfig
 from snakesim.dynamics import DissipationParams, integrate_motion_trajectory, position_step, read_step_energies_csv
 from snakesim.geometry import PositionedShape, RigidMotion, curve_from_curvature, tangents_from_vertices, vertices_from_curvature
-from snakesim.optimize import DEFAULT_BOUNDS, ObjectiveConfig, SimConfig, optimize_gait, random_gait
+from snakesim.optimize import DEFAULT_BOUNDS, GaitBounds, ObjectiveConfig, SimConfig, optimize_gait, random_gait
 from snakesim.shapespace import GaitEllipse
 from snakesim.svgplot import plot_trajectory
 
@@ -139,6 +139,8 @@ REALS = {
         1.0, errors.InvalidParameter, "dissipation coefficient",
     ),
     "cost_of_transport mass": (lambda x: cost_of_transport(1.0, x, 9.81, 0.1), 1.0, errors.InvalidParameter, "mass"),
+    "GaitBounds lower end": (lambda x: GaitBounds(a=(x, 8.0)), 0.5, errors.InvalidParameter, "a bound"),
+    "GaitBounds upper end": (lambda x: GaitBounds(xi=(0.5, x)), 2.0, errors.InvalidParameter, "xi bound"),
     "simulated_power_proxy duration": (
         lambda x: simulated_power_proxy(integrate_motion_trajectory([SEGMENT] * 2, PARAMS), x), 5.0, errors.InvalidParameter, "duration",
     ),
@@ -153,3 +155,21 @@ def test_real_inputs_reject_what_is_not_a_real_number(name, bad):
         call(bad)
     assert type(info.value) is error
     call(np.float64(valid))
+
+
+@pytest.mark.parametrize("bad", ["1.2", True, np.array(1.2)])
+def test_pinned_frequency_must_be_a_real_number(bad):
+    # None means "not pinned", so it is the one value here that is not a real number and is accepted
+    params = DissipationParams.uniform(1.38, 12, 0.5)
+    with pytest.raises(errors.InvalidParameter, match="fixed xi") as info:
+        ObjectiveConfig(params, fixed_xi=bad)
+    assert type(info.value) is errors.InvalidParameter
+    assert ObjectiveConfig(params, fixed_xi=None).fixed_xi is None
+    assert ObjectiveConfig(params, fixed_xi=np.float64(1.2)).fixed_xi == 1.2
+
+
+@pytest.mark.parametrize("bad", [(0.2,), (0.2, 0.5, 1.0), 0.2, None, "ab"])
+def test_gait_bounds_must_be_pairs_of_real_numbers(bad):
+    with pytest.raises(errors.InvalidParameter, match="sigma") as info:
+        GaitBounds(sigma=bad)
+    assert type(info.value) is errors.InvalidParameter

@@ -1,3 +1,6 @@
+import collections
+import math
+
 import numpy as np
 import pytest
 
@@ -312,7 +315,7 @@ class TestOptimizeGait:
     def test_evaluation_budget_respected(self):
         cfg = small_cfg()
         _, history = optimize_gait(random_gait(9), DEFAULT_BOUNDS, cfg, max_evaluations=25)
-        assert len(history) <= 25 + 1  # scipy may finish the in-flight iteration
+        assert len(history) == 25
 
     @pytest.mark.parametrize("failure", [NoConvergence], ids=["NoConvergence"])
     def test_solver_failure_keeps_history(self, monkeypatch, failure):
@@ -353,9 +356,12 @@ def one_gait_objective(gait, cfg):
     return -displacement + cfg.dissipation_coefficient * energy, displacement, energy
 
 
-def reference_search(seed_gait, bounds, cfg, budget):
-    """`optimize_gait`'s Nelder-Mead with `one_gait_objective` called at every point scipy asks for, one at a time."""
-    from scipy.optimize import minimize
+def reference_search(seed_gait, bounds, cfg, budget, one_gait=one_gait_objective):
+    """scipy's Nelder-Mead on `optimize_gait`'s problem, `one_gait` called at every point it asks for, one at a time.
+
+    scipy is needed only here, as the oracle for the search's own loop; without it the tests that call this are skipped.
+    """
+    minimize = pytest.importorskip("scipy.optimize").minimize
 
     keys = ("sigma", "xc", "yc", "theta", "a", "xi")
     lo, hi = bounds.as_arrays()
@@ -369,7 +375,7 @@ def reference_search(seed_gait, bounds, cfg, budget):
         x = x_seed.copy()
         x[free] = lo[free] + np.clip(u, 0.0, 1.0) * (hi - lo)[free]
         gait = GaitEllipse(*(float(v) for v in x))
-        loss, displacement, energy = one_gait_objective(gait, cfg)
+        loss, displacement, energy = one_gait(gait, cfg)
         records.append((loss, displacement, energy, gait))
         return loss
 
@@ -385,6 +391,50 @@ def reference_search(seed_gait, bounds, cfg, budget):
     options = {"initial_simplex": np.array(simplex), "xatol": 1e-4, "fatol": np.inf, "maxfev": budget, "disp": False}
     minimize(objective, u0, method="Nelder-Mead", options=options)
     return records
+
+
+def stepped_valley_losses(gaits, cfg):
+    """A stand-in for `evaluate_gaits` (no simulation): a curved valley rounded down to steps of 1e-3.
+
+    The frequency's minimum lies outside its bounds, and the steps make plateaus, so the search meets
+    clipped points and tied losses, and some contractions fail and shrink the simplex.
+    """
+    results = []
+    for g in gaits:
+        valley = (g.xc - 1.0) ** 2 + 10.0 * (g.yc - g.xc ** 2 / 3.0) ** 2 + (g.a - 5.0) ** 2 / 4.0
+        loss = math.floor(1e3 * (valley + (g.sigma - 0.6) ** 2 + (g.theta - 1.0) ** 2 + (g.xi - 2.5) ** 2)) / 1e3
+        results.append((loss, -loss, 0.0))
+    return results
+
+
+def one_valley_loss(gait, cfg):
+    return stepped_valley_losses([gait], cfg)[0]
+
+
+def replayed_steps(losses, n):
+    """The Nelder-Mead step each iteration took, replayed from the losses of a search that stopped on its simplex size.
+
+    Only the losses are followed (the simplex's, kept sorted), so the replay needs no point of the search.
+    """
+    simplex, rest, steps = sorted(losses[:n + 1]), iter(losses[n + 1:]), []
+    for reflected in rest:
+        if reflected < simplex[0]:
+            expanded = next(rest)
+            steps.append("expansion" if expanded < reflected else "reflection")
+            simplex[-1] = min(expanded, reflected)
+        elif reflected < simplex[-2]:
+            steps.append("reflection")
+            simplex[-1] = reflected
+        else:
+            contracted, outside = next(rest), reflected < simplex[-1]
+            if contracted <= reflected if outside else contracted < simplex[-1]:
+                steps.append("outside contraction" if outside else "inside contraction")
+                simplex[-1] = contracted
+            else:
+                steps.append("shrink")
+                simplex[1:] = [next(rest) for _ in range(n)]
+        simplex.sort()
+    return collections.Counter(steps)
 
 
 class TestSearchHistories:
@@ -426,22 +476,34 @@ class TestSearchHistories:
         bounds = GaitBounds(*((value, value) for value in (0.7, 0.1, -0.2, 1.0, 3.0, 1.5)))
         self.assert_matches_reference(point, bounds, small_cfg(), 20, monkeypatch, 1)
 
-    def test_a_point_out_of_order_is_evaluated_itself(self, monkeypatch):
-        # a Nelder-Mead that scores the starting vertices last to first: only the vertex asked for
-        # in the batch's order (here the seed, last) may take a stored result
-        import scipy.optimize
+    @pytest.mark.parametrize("fixed_xi", [None, 1.25])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_step_of_a_long_search_matches_the_reference(self, seed, fixed_xi, monkeypatch):
+        import snakesim.optimize as opt
 
-        def reversed_start(fun, x0, method, options):
-            for vertex in options["initial_simplex"][::-1]:
-                fun(vertex.copy())
+        def no_solve(*args):
+            raise AssertionError("the analytic loss must stand in for every forward solve")
 
-        monkeypatch.setattr(scipy.optimize, "minimize", reversed_start)
-        sizes = self.batch_sizes(monkeypatch)
-        cfg = small_cfg(c=2.5)
-        _, history = optimize_gait(random_gait(2), DEFAULT_BOUNDS, cfg, max_evaluations=20)
-        assert sizes == [7] + [1] * 6 and history[-1].gait == random_gait(2)
-        for rec in history:
-            assert (rec.loss, rec.displacement, rec.energy) == one_gait_objective(rec.gait, cfg)
+        monkeypatch.setattr(opt, "_integrate_stacks", no_solve)
+        monkeypatch.setattr(opt, "evaluate_gaits", stepped_valley_losses)
+        cfg, budget = small_cfg(fixed_xi=fixed_xi), 2000
+        expected = reference_search(random_gait(seed), DEFAULT_BOUNDS, cfg, budget, one_valley_loss)
+        _, history = optimize_gait(random_gait(seed), DEFAULT_BOUNDS, cfg, max_evaluations=budget)
+        assert [(rec.loss, rec.displacement, rec.energy, rec.gait) for rec in history] == expected
+        assert 200 <= len(history) < budget
+        steps = replayed_steps([rec.loss for rec in history], 6 if fixed_xi is None else 5)
+        assert {"expansion", "outside contraction", "inside contraction", "shrink"} <= set(steps), steps
+
+    @pytest.mark.parametrize("budget", [9, 10, 60, 150])
+    def test_a_long_search_cut_by_its_budget_matches_the_reference(self, budget, monkeypatch):
+        import snakesim.optimize as opt
+
+        monkeypatch.setattr(opt, "evaluate_gaits", stepped_valley_losses)
+        cfg = small_cfg()
+        expected = reference_search(random_gait(1), DEFAULT_BOUNDS, cfg, budget, one_valley_loss)
+        _, history = optimize_gait(random_gait(1), DEFAULT_BOUNDS, cfg, max_evaluations=budget)
+        assert [(rec.loss, rec.displacement, rec.energy, rec.gait) for rec in history] == expected
+        assert len(history) == budget
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_failure_at_a_simplex_gait_keeps_the_records_before_it(self, k, monkeypatch):
